@@ -1,6 +1,6 @@
 # Developer entry points. CI runs the same three checks as `make check`.
 
-.PHONY: build vet test race check bench-baseline bench-cores clean
+.PHONY: build vet test race check bench-test bench-baseline bench-cores clean
 
 build:
 	go build ./...
@@ -15,6 +15,11 @@ race:
 	go test -race ./...
 
 check: build vet race
+
+# The repo benchmark under bench/ is a nested module importing internal/*;
+# the root targets above do not cover it.
+bench-test:
+	cd bench && go vet ./... && go test ./...
 
 # Emit BENCH_core.json from the root benchmark suite (bench_test.go).
 # Override BENCHTIME for a stable baseline, e.g. `make bench-baseline BENCHTIME=2s`.

@@ -18,12 +18,10 @@ import (
 
 	"aacc/internal/anytime"
 	"aacc/internal/centrality"
-	"aacc/internal/clique"
 	"aacc/internal/core"
 	"aacc/internal/dv"
 	"aacc/internal/gen"
 	"aacc/internal/graph"
-	"aacc/internal/kcore"
 	"aacc/internal/logp"
 	"aacc/internal/obs"
 	"aacc/internal/partition"
@@ -74,12 +72,15 @@ func mustRun(b *testing.B, e *core.Engine) {
 	}
 }
 
-func cloneBatch(batch *core.VertexBatch) *core.VertexBatch {
-	return &core.VertexBatch{
-		Count:    batch.Count,
-		Internal: append([]core.BatchEdge(nil), batch.Internal...),
-		External: append([]core.AttachEdge(nil), batch.External...),
+// mustApply runs one mutation through the engine's single entry point and
+// returns it with its result fields filled in.
+func mustApply(b *testing.B, e *core.Engine, m core.Mutation) core.Mutation {
+	b.Helper()
+	batch := &core.Batch{Ops: []core.Mutation{m}}
+	if err := e.ApplyBatch(batch); err != nil {
+		b.Fatal(err)
 	}
+	return batch.Ops[0]
 }
 
 // BenchmarkFig4 measures one Figure-4 cell: a scaled vertex-addition batch
@@ -92,9 +93,7 @@ func BenchmarkFig4(b *testing.B) {
 			for s := 0; s < 4 && !e.Converged(); s++ {
 				e.Step()
 			}
-			if _, err := e.ApplyVertexAdditions(cloneBatch(add.Batch), &core.RoundRobinPS{}); err != nil {
-				b.Fatal(err)
-			}
+			mustApply(b, e, core.VertexAdd(add.Batch.Clone(), &core.RoundRobinPS{}))
 			mustRun(b, e)
 		}
 	})
@@ -126,17 +125,13 @@ func benchStrategy(b *testing.B, strategy string, injectAt int) {
 		for s := 0; s < injectAt && !e.Converged(); s++ {
 			e.Step()
 		}
-		var err error
 		switch strategy {
 		case "rr":
-			_, err = e.ApplyVertexAdditions(cloneBatch(add.Batch), &core.RoundRobinPS{})
+			mustApply(b, e, core.VertexAdd(add.Batch.Clone(), &core.RoundRobinPS{}))
 		case "ce":
-			_, err = e.ApplyVertexAdditions(cloneBatch(add.Batch), &core.CutEdgePS{Seed: benchSeed})
+			mustApply(b, e, core.VertexAdd(add.Batch.Clone(), &core.CutEdgePS{Seed: benchSeed}))
 		case "rep":
-			_, err = e.Repartition(cloneBatch(add.Batch))
-		}
-		if err != nil {
-			b.Fatal(err)
+			mustApply(b, e, core.RepartitionOp(add.Batch.Clone()))
 		}
 		mustRun(b, e)
 	}
@@ -198,17 +193,9 @@ func BenchmarkFig8(b *testing.B) {
 					e.ReinitializeFrom(g2)
 					mustRun(b, e)
 				case "rr":
-					ids, err := e.ApplyVertexAdditions(chunk, rr)
-					if err != nil {
-						b.Fatal(err)
-					}
-					inc.NoteIDs(ids)
+					inc.NoteIDs(mustApply(b, e, core.VertexAdd(chunk, rr)).AssignedIDs)
 				case "rep":
-					res, err := e.Repartition(chunk)
-					if err != nil {
-						b.Fatal(err)
-					}
-					inc.NoteIDs(res.NewIDs)
+					inc.NoteIDs(mustApply(b, e, core.RepartitionOp(chunk)).Repart.NewIDs)
 				}
 			}
 			mustRun(b, e)
@@ -228,9 +215,7 @@ func BenchmarkEA1(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			e := benchEngine(b, base.Clone())
 			mustRun(b, e)
-			if err := e.ApplyEdgeAdditions(adds); err != nil {
-				b.Fatal(err)
-			}
+			mustApply(b, e, core.EdgeAdd(adds...))
 			mustRun(b, e)
 		}
 	})
@@ -256,9 +241,7 @@ func BenchmarkED1(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			e := benchEngine(b, base.Clone())
 			mustRun(b, e)
-			if err := e.ApplyEdgeDeletions(dels); err != nil {
-				b.Fatal(err)
-			}
+			mustApply(b, e, core.EdgeDelete(dels...))
 			mustRun(b, e)
 		}
 	})
@@ -284,9 +267,7 @@ func BenchmarkED2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := benchEngine(b, base.Clone())
 		mustRun(b, e)
-		if err := e.ApplyEdgeDeletions(dels); err != nil {
-			b.Fatal(err)
-		}
+		mustApply(b, e, core.EdgeDelete(dels...))
 		mustRun(b, e)
 	}
 }
@@ -363,9 +344,7 @@ func BenchmarkFig4Workers(b *testing.B) {
 				for s := 0; s < 4 && !e.Converged(); s++ {
 					e.Step()
 				}
-				if _, err := e.ApplyVertexAdditions(cloneBatch(add.Batch), &core.RoundRobinPS{}); err != nil {
-					b.Fatal(err)
-				}
+				mustApply(b, e, core.VertexAdd(add.Batch.Clone(), &core.RoundRobinPS{}))
 				mustRun(b, e)
 			}
 		})
@@ -498,31 +477,10 @@ func BenchmarkAblationCheckpoint(b *testing.B) {
 	})
 }
 
-// BenchmarkSNAMeasures covers the companion SNA kernels built around the
-// engine: betweenness, k-core, maximal cliques, point-to-point queries.
+// BenchmarkSNAMeasures covers the point-to-point distance queries built
+// around the engine.
 func BenchmarkSNAMeasures(b *testing.B) {
 	g := gen.BarabasiAlbert(benchN, 2, benchSeed, gen.Config{MaxWeight: 3})
-	b.Run("Betweenness", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = centrality.Betweenness(g, 0)
-		}
-	})
-	b.Run("ApproxBetweenness32Pivots", func(b *testing.B) {
-		pivots := g.Vertices()[:32]
-		for i := 0; i < b.N; i++ {
-			_ = centrality.ApproxBetweenness(g, pivots, 0)
-		}
-	})
-	b.Run("KCore", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = kcore.Decompose(g)
-		}
-	})
-	b.Run("MaximalCliques", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			clique.Enumerate(g, func([]graph.ID) bool { return true })
-		}
-	})
 	b.Run("BidirectionalQuery", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_ = sssp.BidirectionalDijkstra(g, 0, graph.ID(benchN-1))

@@ -68,7 +68,8 @@ func main() {
 		Internal: []core.BatchEdge{{A: 0, B: 1, W: 1}},
 		External: []core.AttachEdge{{New: 0, To: 10, W: 1}},
 	}
-	if _, err := restored.ApplyVertexAdditions(batch, &core.CutEdgePS{Seed: 21}); err != nil {
+	add := &core.Batch{Ops: []core.Mutation{core.VertexAdd(batch, &core.CutEdgePS{Seed: 21})}}
+	if err := restored.ApplyBatch(add); err != nil {
 		log.Fatal(err)
 	}
 	if _, err := restored.Run(); err != nil {

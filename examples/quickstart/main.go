@@ -44,10 +44,11 @@ func main() {
 			{New: 0, To: 7, W: 1},
 		},
 	}
-	ids, err := engine.ApplyVertexAdditions(batch, &core.RoundRobinPS{})
-	if err != nil {
+	add := &core.Batch{Ops: []core.Mutation{core.VertexAdd(batch, &core.RoundRobinPS{})}}
+	if err := engine.ApplyBatch(add); err != nil {
 		log.Fatal(err)
 	}
+	ids := add.Ops[0].AssignedIDs
 	if _, err := engine.Run(); err != nil {
 		log.Fatal(err)
 	}

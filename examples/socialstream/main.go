@@ -44,16 +44,14 @@ func main() {
 	wave := 0
 	for inc.Remaining() > 0 {
 		wave++
-		chunk := inc.Next()
-		ids, err := engine.ApplyVertexAdditions(chunk, ps)
+		added, err := inc.Inject(engine, ps)
 		if err != nil {
 			log.Fatal(err)
 		}
-		inc.NoteIDs(ids)
 		if _, err := engine.Run(); err != nil {
 			log.Fatal(err)
 		}
-		report(engine, fmt.Sprintf("after wave %d (+%d actors)", wave, len(ids)))
+		report(engine, fmt.Sprintf("after wave %d (+%d actors)", wave, added))
 	}
 
 	st := engine.Stats()

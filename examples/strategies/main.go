@@ -47,20 +47,17 @@ func main() {
 			log.Fatal(err)
 		}
 		cutBefore := engine.Assignment().CutEdges(engine.Graph())
-		batch := &core.VertexBatch{
-			Count:    add.Batch.Count,
-			Internal: append([]core.BatchEdge(nil), add.Batch.Internal...),
-			External: append([]core.AttachEdge(nil), add.Batch.External...),
-		}
+		batch := add.Batch.Clone()
+		var m core.Mutation
 		switch name {
 		case "RoundRobin-PS":
-			_, err = engine.ApplyVertexAdditions(batch, &core.RoundRobinPS{})
+			m = core.VertexAdd(batch, &core.RoundRobinPS{})
 		case "CutEdge-PS":
-			_, err = engine.ApplyVertexAdditions(batch, &core.CutEdgePS{Seed: 11})
+			m = core.VertexAdd(batch, &core.CutEdgePS{Seed: 11})
 		case "Repartition-S":
-			_, err = engine.Repartition(batch)
+			m = core.RepartitionOp(batch)
 		}
-		if err != nil {
+		if err := engine.ApplyBatch(&core.Batch{Ops: []core.Mutation{m}}); err != nil {
 			log.Fatal(err)
 		}
 		if _, err := engine.Run(); err != nil {

@@ -62,15 +62,12 @@ func TestIntegrationFullLifecycle(t *testing.T) {
 	for inc.Remaining() > 0 {
 		wave++
 		e.Step()
-		chunk := inc.Next()
-		ids, err := e.ApplyVertexAdditions(chunk, ps)
-		if err != nil {
+		if _, err := inc.Inject(e, ps); err != nil {
 			t.Fatal(err)
 		}
-		inc.NoteIDs(ids)
 		if wave == 2 {
 			adds := workload.RandomEdgeAdditions(e.Graph(), 10, 3, 77)
-			if err := e.ApplyEdgeAdditions(adds); err != nil {
+			if err := e.ApplyBatch(&core.Batch{Ops: []core.Mutation{core.EdgeAdd(adds...)}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -120,7 +117,7 @@ func TestIntegrationFullLifecycle(t *testing.T) {
 	assertOracle(t, restored, "after restore")
 
 	// Phase 6: the restored engine rebalances and stays exact.
-	if _, err := restored.Repartition(nil); err != nil {
+	if err := restored.ApplyBatch(&core.Batch{Ops: []core.Mutation{core.RepartitionOp(nil)}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := restored.Run(); err != nil {
@@ -164,10 +161,10 @@ func TestIntegrationWireLifecycle(t *testing.T) {
 		Internal: []core.BatchEdge{{A: 0, B: 1, W: 1}, {A: 2, B: 3, W: 1}},
 		External: []core.AttachEdge{{New: 0, To: 10, W: 1}, {New: 2, To: 150, W: 2}},
 	}
-	if _, err := e.ApplyVertexAdditions(batch, &core.RoundRobinPS{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.ApplyEdgeDeletions([][2]graph.ID{{0, 1}}); err != nil {
+	if err := e.ApplyBatch(&core.Batch{Ops: []core.Mutation{
+		core.VertexAdd(batch, &core.RoundRobinPS{}),
+		core.EdgeDelete([2]graph.ID{0, 1}),
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Run(); err != nil {

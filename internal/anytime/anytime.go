@@ -13,10 +13,11 @@
 //     copy taken at one step boundary (the engine's dv.Store recycles row
 //     arrays through a free list, so sharing live rows would be unsound),
 //     and all rows in one snapshot come from the same step.
-//   - Mutations are serialized: Apply* calls from any goroutine enqueue a
-//     command; the orchestration goroutine applies it between steps, then
-//     publishes a fresh snapshot before the call returns. Two concurrent
-//     mutators never interleave inside the engine.
+//   - Mutations are serialized: ApplyBatch and Enqueue calls from any
+//     goroutine put typed core.Mutation values on one bounded queue; the
+//     orchestration goroutine applies them between steps, and ApplyBatch (or
+//     a later Flush) returns once a fresh snapshot covering them is
+//     published. Two concurrent mutators never interleave inside the engine.
 //   - Anytime reads: a snapshot taken mid-run holds exactly the distance
 //     upper bounds the engine would report if stopped at that step; between
 //     deletions they only improve as epochs advance.
@@ -43,13 +44,13 @@ import (
 // session's context was cancelled).
 var ErrClosed = errors.New("anytime: session closed")
 
-// Engine is the analysis surface a Session orchestrates: stepping,
-// queries and the dynamic-mutation set. *core.Engine implements it (the
+// Engine is the analysis surface a Session orchestrates: stepping, queries
+// and the one mutation entry point. *core.Engine implements it (the
 // single-process deployment); a multi-process coordinator implements the
 // same surface by driving remote workers, so the session layer — snapshots,
 // serialized mutations, degraded-mode recovery — is identical in both
-// shapes. Engines whose deployment cannot support an operation (vertex
-// mutations on a coordinator, say) return a descriptive error from it.
+// shapes. Engines whose deployment cannot support a mutation kind (vertex
+// mutations on a coordinator, say) fail that op with a descriptive error.
 type Engine interface {
 	Step() (core.StepReport, error)
 	Converged() bool
@@ -63,14 +64,6 @@ type Engine interface {
 	// failing op with a *core.BatchError. The session's ingestion pipeline
 	// routes every mutation through this single entry point.
 	ApplyBatch(b *core.Batch) error
-
-	ApplyEdgeAdditions(edges []graph.EdgeTriple) error
-	ApplyEdgeDeletions(pairs [][2]graph.ID) error
-	ApplyEdgeDeletionsEager(pairs [][2]graph.ID) error
-	SetEdgeWeight(u, v graph.ID, w int32) error
-	ApplyVertexAdditions(batch *core.VertexBatch, ps core.ProcessorAssigner) ([]graph.ID, error)
-	RemoveVertices(ids []graph.ID) error
-	Repartition(batch *core.VertexBatch) (*core.RepartitionResult, error)
 }
 
 var _ Engine = (*core.Engine)(nil)
@@ -89,7 +82,7 @@ type Options struct {
 	PublishEvery int
 
 	// StepBudget stops stepping after this many RC steps (0 = unlimited).
-	// Steps run inside barrier-mode deletions (ApplyEdgeDeletions converges
+	// Steps run inside barrier-mode deletions (core.MutEdgeDelete converges
 	// the analysis internally) count against the budget. An exhausted
 	// session still applies mutations and serves snapshots; it only stops
 	// spending compute.
@@ -120,8 +113,7 @@ type Options struct {
 	// IngestPolicy selects the backpressure behaviour of a full queue:
 	// BlockOnFull (default) blocks the enqueuer until a slot frees,
 	// ErrorOnFull fails fast with ErrQueueFull. The policy applies to
-	// every mutation entry point — Enqueue and the synchronous Apply*
-	// shims alike.
+	// Enqueue; the synchronous ApplyBatch and Flush always wait for a slot.
 	IngestPolicy QueuePolicy
 
 	// Coalesce selects the dequeue-time coalescing tier (default
@@ -434,65 +426,6 @@ func (s *Session) do(name string, run func() error) error {
 			return ErrClosed
 		}
 	}
-}
-
-// ApplyEdgeAdditions enqueues an edge-addition batch and blocks until it was
-// applied at a step boundary and is visible in the current snapshot. The
-// input slice is copied at enqueue time and may be reused by the caller.
-func (s *Session) ApplyEdgeAdditions(edges []graph.EdgeTriple) error {
-	m := core.EdgeAdd(edges...)
-	return s.applyWait(&m)
-}
-
-// ApplyEdgeDeletions enqueues a barrier-mode edge-deletion batch and blocks
-// until applied. The engine first converges the current analysis (those
-// internal RC steps count toward the step budget), then removes the edges
-// and invalidates stale bounds.
-func (s *Session) ApplyEdgeDeletions(pairs [][2]graph.ID) error {
-	m := core.EdgeDelete(pairs...)
-	return s.applyWait(&m)
-}
-
-// ApplyEdgeDeletionsEager enqueues a barrier-free edge-deletion batch and
-// blocks until applied.
-func (s *Session) ApplyEdgeDeletionsEager(pairs [][2]graph.ID) error {
-	m := core.EdgeDeleteEager(pairs...)
-	return s.applyWait(&m)
-}
-
-// SetEdgeWeight enqueues an edge-weight change and blocks until applied.
-func (s *Session) SetEdgeWeight(u, v graph.ID, w int32) error {
-	m := core.WeightSet(u, v, w)
-	return s.applyWait(&m)
-}
-
-// ApplyVertexAdditions enqueues a vertex batch placed by ps and blocks until
-// applied, returning the IDs the engine assigned. The batch is copied at
-// enqueue time.
-func (s *Session) ApplyVertexAdditions(batch *core.VertexBatch, ps core.ProcessorAssigner) ([]graph.ID, error) {
-	m := core.VertexAdd(batch, ps)
-	if err := s.applyWait(&m); err != nil {
-		return nil, err
-	}
-	return m.AssignedIDs, nil
-}
-
-// RemoveVertices enqueues a vertex-removal batch and blocks until applied.
-func (s *Session) RemoveVertices(vertices []graph.ID) error {
-	m := core.VertexRemove(vertices...)
-	return s.applyWait(&m)
-}
-
-// Repartition enqueues a Repartition-S pass and blocks until applied: the
-// batch (nil = pure rebalancing) is added without incremental relaxation,
-// the grown graph is repartitioned and partial results migrate to their new
-// owners.
-func (s *Session) Repartition(batch *core.VertexBatch) (*core.RepartitionResult, error) {
-	m := core.RepartitionOp(batch)
-	if err := s.applyWait(&m); err != nil {
-		return nil, err
-	}
-	return m.Repart, nil
 }
 
 // loop is the orchestration goroutine: it alternates between draining the

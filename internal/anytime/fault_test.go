@@ -114,7 +114,7 @@ func TestSessionMutationBudgetTripPublishesOnce(t *testing.T) {
 	s := mustSession(t, g, Options{StartPaused: true, StepBudget: 1})
 	before := s.Snapshot()
 
-	if err := s.ApplyEdgeDeletions(dels); err != nil {
+	if err := apply(s, core.EdgeDelete(dels...)); err != nil {
 		t.Fatal(err)
 	}
 	sn := s.Snapshot()
@@ -171,7 +171,7 @@ func TestSessionWireFaultyStress(t *testing.T) {
 	// at least once, re-converging after each batch.
 	for i := 0; i < 40; i++ {
 		adds := workload.RandomEdgeAdditions(mirror, 2, 3, int64(100+i))
-		if err := s.ApplyEdgeAdditions(adds); err != nil {
+		if err := apply(s, core.EdgeAdd(adds...)); err != nil {
 			t.Fatal(err)
 		}
 		for _, ed := range adds {

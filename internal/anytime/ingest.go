@@ -13,8 +13,8 @@ import (
 
 // This file is the session's high-throughput ingestion pipeline. Mutations
 // of every kind enter one bounded queue as typed core.Mutation values —
-// asynchronously via Enqueue, synchronously via the per-kind Apply* shims —
-// and the orchestration goroutine drains everything queued at each step
+// asynchronously via Enqueue, synchronously via ApplyBatch — and the
+// orchestration goroutine drains everything queued at each step
 // boundary into one coalesced batch apply followed by ONE epoch publication,
 // instead of the historical publish-per-op schedule. The snapshot deep copy
 // dominates per-mutation cost on write-heavy streams, so amortising it over
@@ -126,22 +126,6 @@ func (s *Session) ApplyBatch(b *core.Batch) error {
 	return firstErr
 }
 
-// applyWait is the synchronous path behind the per-kind Apply* shims: it
-// validates, enqueues (honouring the backpressure policy) and blocks until
-// the op was applied and the covering epoch published — the mutation is
-// visible in the current snapshot once this returns. Results are written
-// into m.
-func (s *Session) applyWait(m *core.Mutation) error {
-	if err := m.Validate(); err != nil {
-		return err
-	}
-	op := &ingestOp{mut: m, done: make(chan error, 1)}
-	if err := s.push(op, s.opts.IngestPolicy); err != nil {
-		return err
-	}
-	return s.await(op.done)
-}
-
 // await waits for an op's verdict, racing session shutdown the same way the
 // command queue does: the loop may have replied just before exiting.
 func (s *Session) await(done chan error) error {
@@ -193,8 +177,8 @@ func (s *Session) push(op *ingestOp, policy QueuePolicy) error {
 // ingest runs on the orchestration goroutine: it drains the queue behind the
 // first op, coalesces the drained stream into apply units, applies them as
 // one engine batch, publishes ONE covering epoch, and only then replies to
-// the waiters — preserving the "visible once the call returns" contract of
-// the synchronous shims.
+// the waiters — preserving ApplyBatch's "visible once the call returns"
+// contract.
 func (s *Session) ingest(first *ingestOp) {
 	ops := make([]*ingestOp, 0, 1+len(s.mq))
 	ops = append(ops, first)

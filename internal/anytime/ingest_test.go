@@ -159,8 +159,7 @@ func TestSessionIngestMatchesSequentialOracle(t *testing.T) {
 					// Synchronous path; a per-op rejection (weight set on a
 					// missing edge, say) still counts as a consumed op that
 					// mutated nothing — exactly what the oracle replays.
-					mm := m.Clone()
-					_ = s.applyWait(&mm)
+					_ = apply(s, m)
 				} else if err := s.Enqueue(m); err != nil {
 					t.Fatalf("op %d: %v", i, err)
 				}
@@ -281,7 +280,7 @@ func TestSessionIngestAggressiveTier(t *testing.T) {
 // TestSessionIngestErrorOnFull: under the fail-fast policy a stalled
 // session rejects the overflow op with ErrQueueFull, every accepted op
 // still applies exactly once, and the queue-depth gauge tracks fill and
-// drain. Synchronous shims shed under the same policy.
+// drain.
 func TestSessionIngestErrorOnFull(t *testing.T) {
 	g := testGraph(40)
 	s := mustSession(t, g, Options{
@@ -304,10 +303,6 @@ func TestSessionIngestErrorOnFull(t *testing.T) {
 	}
 	if err := s.Enqueue(core.EdgeAdd(graph.EdgeTriple{U: 0, V: 39, W: 1})); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overflow enqueue: %v, want ErrQueueFull", err)
-	}
-	// The synchronous shims shed under the same policy.
-	if err := s.ApplyEdgeAdditions([]graph.EdgeTriple{{U: 0, V: 39, W: 1}}); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("overflow shim: %v, want ErrQueueFull", err)
 	}
 
 	close(stall)
@@ -395,7 +390,7 @@ func TestSessionIngestCloseRejectsPending(t *testing.T) {
 	for i := 0; i < pending; i++ {
 		pair := absent[i]
 		go func() {
-			verdicts <- s.ApplyEdgeAdditions([]graph.EdgeTriple{{U: pair[0], V: pair[1], W: 1}})
+			verdicts <- apply(s, core.EdgeAdd(graph.EdgeTriple{U: pair[0], V: pair[1], W: 1}))
 		}()
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -449,7 +444,7 @@ func TestSessionIngestDuringDegraded(t *testing.T) {
 	if _, err := s.WaitFor(ctx, func(sn *Snapshot) bool { return sn.Degraded }); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.ApplyEdgeAdditions([]graph.EdgeTriple{{U: 0, V: 55, W: 1}}); err != nil {
+	if err := apply(s, core.EdgeAdd(graph.EdgeTriple{U: 0, V: 55, W: 1})); err != nil {
 		t.Fatalf("mutation during outage: %v", err)
 	}
 	sn := s.Snapshot()

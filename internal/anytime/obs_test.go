@@ -31,7 +31,7 @@ func TestSessionObsMetrics(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		s.Snapshot()
 	}
-	if err := s.ApplyEdgeAdditions([]graph.EdgeTriple{{U: 0, V: 100, W: 1}}); err != nil {
+	if err := apply(s, core.EdgeAdd(graph.EdgeTriple{U: 0, V: 100, W: 1})); err != nil {
 		t.Fatal(err)
 	}
 	final, err := s.Wait(context.Background())

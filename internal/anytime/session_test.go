@@ -2,6 +2,7 @@ package anytime
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -17,6 +18,18 @@ import (
 
 func testGraph(n int) *graph.Graph {
 	return gen.BarabasiAlbert(n, 2, 11, gen.Config{})
+}
+
+// apply submits one mutation through the session's single entry point.
+func apply(s *Session, m core.Mutation) error {
+	return s.ApplyBatch(&core.Batch{Ops: []core.Mutation{m}})
+}
+
+// addVertices applies one vertex batch and returns the assigned IDs.
+func addVertices(s *Session, batch *core.VertexBatch, ps core.ProcessorAssigner) ([]graph.ID, error) {
+	b := &core.Batch{Ops: []core.Mutation{core.VertexAdd(batch, ps)}}
+	err := s.ApplyBatch(b)
+	return b.Ops[0].AssignedIDs, err
 }
 
 func mustSession(t *testing.T, g *graph.Graph, opts Options) *Session {
@@ -157,7 +170,7 @@ func TestSessionMutationsConvergeToExact(t *testing.T) {
 	s := mustSession(t, g, Options{})
 
 	adds := workload.RandomEdgeAdditions(mirror, 12, 4, 3)
-	if err := s.ApplyEdgeAdditions(adds); err != nil {
+	if err := apply(s, core.EdgeAdd(adds...)); err != nil {
 		t.Fatal(err)
 	}
 	sn := s.Snapshot()
@@ -169,7 +182,7 @@ func TestSessionMutationsConvergeToExact(t *testing.T) {
 	}
 
 	dels := workload.RandomEdgeDeletions(mirror, 6, 4)
-	if err := s.ApplyEdgeDeletions(dels); err != nil {
+	if err := apply(s, core.EdgeDelete(dels...)); err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range dels {
@@ -184,7 +197,7 @@ func TestSessionMutationsConvergeToExact(t *testing.T) {
 		Internal: []core.BatchEdge{{A: 0, B: 1, W: 2}, {A: 1, B: 2, W: 1}},
 		External: []core.AttachEdge{{New: 0, To: 5, W: 1}, {New: 2, To: 9, W: 3}},
 	}
-	ids, err := s.ApplyVertexAdditions(batch, &core.RoundRobinPS{})
+	ids, err := addVertices(s, batch, &core.RoundRobinPS{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,17 +223,17 @@ func TestSessionMutationsConvergeToExact(t *testing.T) {
 // enqueue time without disturbing the analysis.
 func TestSessionMutationValidation(t *testing.T) {
 	s := mustSession(t, testGraph(40), Options{StartPaused: true})
-	if err := s.ApplyEdgeAdditions([]graph.EdgeTriple{{U: 1, V: 1, W: 1}}); err == nil {
+	if err := apply(s, core.EdgeAdd(graph.EdgeTriple{U: 1, V: 1, W: 1})); err == nil {
 		t.Fatal("self-loop addition accepted")
 	}
-	if err := s.ApplyEdgeAdditions([]graph.EdgeTriple{{U: 1, V: 2, W: 0}}); err == nil {
+	if err := apply(s, core.EdgeAdd(graph.EdgeTriple{U: 1, V: 2, W: 0})); err == nil {
 		t.Fatal("zero-weight addition accepted")
 	}
-	if err := s.SetEdgeWeight(0, 1, 0); err == nil {
+	if err := apply(s, core.WeightSet(0, 1, 0)); err == nil {
 		t.Fatal("zero weight accepted")
 	}
 	bad := &core.VertexBatch{Count: 1, Internal: []core.BatchEdge{{A: 0, B: 5, W: 1}}}
-	if _, err := s.ApplyVertexAdditions(bad, &core.RoundRobinPS{}); err == nil {
+	if _, err := addVertices(s, bad, &core.RoundRobinPS{}); err == nil {
 		t.Fatal("out-of-range batch accepted")
 	}
 	if sn := s.Snapshot(); sn.Epoch != 1 {
@@ -241,7 +254,7 @@ func TestSessionClosed(t *testing.T) {
 	if err := s.Resume(); err != ErrClosed {
 		t.Fatalf("Resume after Close: %v, want ErrClosed", err)
 	}
-	if err := s.ApplyEdgeAdditions([]graph.EdgeTriple{{U: 0, V: 30, W: 1}}); err != ErrClosed {
+	if err := apply(s, core.EdgeAdd(graph.EdgeTriple{U: 0, V: 30, W: 1})); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Apply after Close: %v, want ErrClosed", err)
 	}
 	if _, err := s.WaitFor(context.Background(), func(sn *Snapshot) bool { return sn.Epoch > 100 }); err != ErrClosed {
@@ -261,7 +274,7 @@ func TestSessionTracerEvents(t *testing.T) {
 	if _, err := s.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.ApplyEdgeAdditions([]graph.EdgeTriple{{U: 0, V: 55, W: 2}}); err != nil {
+	if err := apply(s, core.EdgeAdd(graph.EdgeTriple{U: 0, V: 55, W: 2})); err != nil {
 		t.Fatal(err)
 	}
 	s.Snapshot()

@@ -88,7 +88,7 @@ func sessionStress(t *testing.T, opts core.Options) {
 	// Writer: a deterministic mutation stream, mirrored on a plain graph.
 	writerErr := func() error {
 		adds := workload.RandomEdgeAdditions(mirror, 10, 3, 21)
-		if err := s.ApplyEdgeAdditions(adds); err != nil {
+		if err := apply(s, core.EdgeAdd(adds...)); err != nil {
 			return err
 		}
 		for _, ed := range adds {
@@ -100,7 +100,7 @@ func sessionStress(t *testing.T, opts core.Options) {
 			Internal: []core.BatchEdge{{A: 0, B: 1, W: 1}, {A: 2, B: 3, W: 2}},
 			External: []core.AttachEdge{{New: 0, To: 3, W: 1}, {New: 2, To: 8, W: 1}, {New: 3, To: 50, W: 2}},
 		}
-		ids, err := s.ApplyVertexAdditions(batch, &core.RoundRobinPS{})
+		ids, err := addVertices(s, batch, &core.RoundRobinPS{})
 		if err != nil {
 			return err
 		}
@@ -114,13 +114,13 @@ func sessionStress(t *testing.T, opts core.Options) {
 			mirror.AddEdge(ids[ed.New], ed.To, ed.W)
 		}
 
-		if err := s.SetEdgeWeight(adds[0].U, adds[0].V, 1); err != nil {
+		if err := apply(s, core.WeightSet(adds[0].U, adds[0].V, 1)); err != nil {
 			return err
 		}
 		mirror.AddEdge(adds[0].U, adds[0].V, 1) // AddEdge overwrites the weight
 
 		dels := workload.RandomEdgeDeletions(mirror, 5, 22)
-		if err := s.ApplyEdgeDeletionsEager(dels); err != nil {
+		if err := apply(s, core.EdgeDeleteEager(dels...)); err != nil {
 			return err
 		}
 		for _, d := range dels {
@@ -129,7 +129,7 @@ func sessionStress(t *testing.T, opts core.Options) {
 
 		time.Sleep(5 * time.Millisecond) // let readers overlap some pure stepping
 		dels2 := workload.RandomEdgeDeletions(mirror, 4, 23)
-		if err := s.ApplyEdgeDeletions(dels2); err != nil {
+		if err := apply(s, core.EdgeDelete(dels2...)); err != nil {
 			return err
 		}
 		for _, d := range dels2 {

@@ -169,12 +169,12 @@ func TestTopKInvalidateOnMutation(t *testing.T) {
 	s.TopK(5, true)
 	// First mutation: the next publish builds the index fresh (no event —
 	// activation happened after the last publish, nothing to invalidate).
-	if err := s.ApplyEdgeAdditions([]graph.EdgeTriple{{U: 0, V: 115, W: 1}}); err != nil {
+	if err := apply(s, core.EdgeAdd(graph.EdgeTriple{U: 0, V: 115, W: 1})); err != nil {
 		t.Fatal(err)
 	}
 	// Second mutation: the maintained index predates it, so its publish
 	// must record the invalidation and rebuild.
-	if err := s.ApplyEdgeDeletionsEager([][2]graph.ID{{0, 115}}); err != nil {
+	if err := apply(s, core.EdgeDeleteEager([2]graph.ID{0, 115})); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Wait(context.Background()); err != nil {

@@ -176,20 +176,18 @@ func parseEndpoint(tok string) (graph.ID, string) {
 	return -1, tok
 }
 
-// Target is the mutation surface a replayer drives. *core.Engine implements
-// it directly (mutations between steps); an anytime.Session implements it by
-// enqueueing each operation on its serialized mutation queue, so a log can be
-// replayed against a live concurrent analysis.
+// Target is the mutation surface a replayer drives: the one entry point
+// every layer exposes. *core.Engine implements it directly (mutations
+// between steps), a dist.Coordinator by driving its workers, and an
+// anytime.Session by enqueueing the ops on its serialized mutation queue, so
+// a log can be replayed against a live concurrent analysis.
+//
+// One semantic difference remains between implementers. Engine and
+// Coordinator ApplyBatch stop at the first failing op: the *core.BatchError
+// names it, the ops before it stay committed, the ops after it never run.
+// Session.ApplyBatch reports the first failure the same way, but the later
+// ops of the batch still apply (each queued op fails independently).
 type Target interface {
-	ApplyVertexAdditions(batch *core.VertexBatch, ps core.ProcessorAssigner) ([]graph.ID, error)
-	ApplyEdgeAdditions(edges []graph.EdgeTriple) error
-	SetEdgeWeight(u, v graph.ID, w int32) error
-	ApplyEdgeDeletions(edges [][2]graph.ID) error
-	ApplyEdgeDeletionsEager(edges [][2]graph.ID) error
-	RemoveVertices(vertices []graph.ID) error
-	// ApplyBatch applies a typed mutation batch; the replayer lowers each
-	// log step's edge events into one batch so a session target can
-	// coalesce them into a single apply + publish.
 	ApplyBatch(b *core.Batch) error
 }
 
@@ -201,7 +199,7 @@ type Replayer struct {
 	ps    core.ProcessorAssigner
 	names map[string]graph.ID // resolved new-vertex names
 	next  int                 // next batch index
-	// Eager selects barrier-free deletions (ApplyEdgeDeletionsEager).
+	// Eager selects barrier-free deletions (core.MutEdgeDeleteEager).
 	Eager bool
 }
 
@@ -267,9 +265,10 @@ func (r *Replayer) ReplayAll(e *core.Engine) error {
 	return err
 }
 
-// apply groups a batch's events into the target's operation types: new
-// vertices and their attachments become one VertexBatch; plain edge events
-// apply individually.
+// apply lowers a log batch to at most three mutation batches, applied in
+// this order and stopping at the first error: new vertices and their
+// attachments (one VertexBatch, whose assigned IDs resolve the names), the
+// plain edge events, then the vertex removals.
 func (r *Replayer) apply(e Target, b Batch) error {
 	// Collect the batch's new vertices in declaration order.
 	var newNames []string
@@ -299,13 +298,8 @@ func (r *Replayer) apply(e Target, b Batch) error {
 		}
 		return -1, -1, fmt.Errorf("changelog: unknown vertex %q", name)
 	}
-	var edgeAdds []graph.EdgeTriple
+	var edgeAdds, weights []graph.EdgeTriple
 	var edgeDels [][2]graph.ID
-	type weightChange struct {
-		u, v graph.ID
-		w    int32
-	}
-	var weights []weightChange
 	var vertexDels []graph.ID
 	for _, ev := range b.Events {
 		switch ev.Kind {
@@ -316,7 +310,7 @@ func (r *Replayer) apply(e Target, b Batch) error {
 		case DelEdge:
 			edgeDels = append(edgeDels, [2]graph.ID{ev.U, ev.V})
 		case SetWeight:
-			weights = append(weights, weightChange{u: ev.U, v: ev.V, w: ev.Weight})
+			weights = append(weights, graph.EdgeTriple{U: ev.U, V: ev.V, W: ev.Weight})
 		case DelVertex:
 			id, _, err := resolve(ev.U, ev.NameU)
 			if err != nil {
@@ -345,24 +339,23 @@ func (r *Replayer) apply(e Target, b Batch) error {
 		}
 	}
 	if vb.Count > 0 {
-		ids, err := e.ApplyVertexAdditions(vb, r.ps)
-		if err != nil {
+		add := &core.Batch{Ops: []core.Mutation{core.VertexAdd(vb, r.ps)}}
+		if err := e.ApplyBatch(add); err != nil {
 			return err
 		}
 		for i, name := range newNames {
-			r.names[name] = ids[i]
+			r.names[name] = add.Ops[0].AssignedIDs[i]
 		}
 	}
 	// Fold the step's edge events into one typed batch — additions, weight
-	// changes, then deletions, preserving the per-kind order the individual
-	// calls used — so a session target applies them as one coalesced unit
-	// with a single epoch publication.
+	// changes, then deletions — so a session target applies them as one
+	// coalesced unit with a single epoch publication.
 	eb := &core.Batch{}
 	if len(edgeAdds) > 0 {
 		eb.Ops = append(eb.Ops, core.EdgeAdd(edgeAdds...))
 	}
 	for _, wc := range weights {
-		eb.Ops = append(eb.Ops, core.WeightSet(wc.u, wc.v, wc.w))
+		eb.Ops = append(eb.Ops, core.WeightSet(wc.U, wc.V, wc.W))
 	}
 	if len(edgeDels) > 0 {
 		if r.Eager {
@@ -377,9 +370,7 @@ func (r *Replayer) apply(e Target, b Batch) error {
 		}
 	}
 	if len(vertexDels) > 0 {
-		if err := e.RemoveVertices(vertexDels); err != nil {
-			return err
-		}
+		return e.ApplyBatch(&core.Batch{Ops: []core.Mutation{core.VertexRemove(vertexDels...)}})
 	}
 	return nil
 }

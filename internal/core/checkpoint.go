@@ -35,7 +35,7 @@ type checkpointPayload struct {
 const checkpointVersion = 1
 
 // WriteCheckpoint serialises the engine's full anytime state. Safe between
-// RC steps (never concurrently with Step or an Apply* call).
+// RC steps (never concurrently with Step or ApplyBatch).
 func (e *Engine) WriteCheckpoint(w io.Writer) error {
 	if e.Partial() {
 		return fmt.Errorf("core: checkpointing is not supported on a partial (multi-process worker) engine")
@@ -69,7 +69,7 @@ func (e *Engine) WriteCheckpoint(w io.Writer) error {
 // LoadCheckpoint reconstructs an engine from a checkpoint. The restored
 // engine keeps the checkpoint's processor count, ownership and partial
 // results; opts may override the partitioner and cost model (used by later
-// Repartition calls). Boundary snapshots are not checkpointed — every row is
+// MutRepartition ops). Boundary snapshots are not checkpointed — every row is
 // queued for a full exchange, so the first RC steps after restore rebuild
 // them and convergence proceeds from exactly the checkpointed quality.
 func LoadCheckpoint(r io.Reader, opts Options) (*Engine, error) {

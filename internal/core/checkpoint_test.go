@@ -74,10 +74,10 @@ func TestCheckpointThenDynamics(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := &VertexBatch{Count: 3, External: []AttachEdge{{New: 0, To: 5, W: 1}, {New: 2, To: 50, W: 2}}}
-	if _, err := r.ApplyVertexAdditions(batch, &RoundRobinPS{}); err != nil {
+	if _, err := r.applyVertexAdditions(batch, &RoundRobinPS{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.ApplyEdgeDeletions([][2]graph.ID{{0, 1}}); err != nil {
+	if err := r.applyEdgeDeletions([][2]graph.ID{{0, 1}}); err != nil {
 		t.Fatal(err)
 	}
 	mustRun(t, r)
@@ -88,7 +88,7 @@ func TestCheckpointWithRemovedVertices(t *testing.T) {
 	g := gen.BarabasiAlbert(80, 2, 74, gen.Config{})
 	e := mustEngine(t, g, 4)
 	mustRun(t, e)
-	if err := e.RemoveVertices([]graph.ID{7}); err != nil {
+	if err := e.removeVertices([]graph.ID{7}); err != nil {
 		t.Fatal(err)
 	}
 	mustRun(t, e)
@@ -119,7 +119,7 @@ func TestEagerDeletionConverged(t *testing.T) {
 	mustRun(t, e)
 	edges := g.Edges()
 	del := [][2]graph.ID{{edges[2].U, edges[2].V}, {edges[9].U, edges[9].V}}
-	if err := e.ApplyEdgeDeletionsEager(del); err != nil {
+	if err := e.applyEdgeDeletionsEager(del); err != nil {
 		t.Fatal(err)
 	}
 	mustRun(t, e)
@@ -132,7 +132,7 @@ func TestEagerDeletionMidAnalysisNoBarrier(t *testing.T) {
 	e.Step() // partial state; eager mode must NOT converge first
 	steps := e.StepCount()
 	edges := e.Graph().Edges()
-	if err := e.ApplyEdgeDeletionsEager([][2]graph.ID{{edges[4].U, edges[4].V}}); err != nil {
+	if err := e.applyEdgeDeletionsEager([][2]graph.ID{{edges[4].U, edges[4].V}}); err != nil {
 		t.Fatal(err)
 	}
 	if e.StepCount() != steps {
@@ -167,14 +167,14 @@ func TestPropertyEagerDeletionInterleaved(t *testing.T) {
 					ed := edges[rng.Intn(len(edges))]
 					del = append(del, [2]graph.ID{ed.U, ed.V})
 				}
-				if err := e.ApplyEdgeDeletionsEager(del); err != nil {
+				if err := e.applyEdgeDeletionsEager(del); err != nil {
 					return false
 				}
 			} else {
 				u := graph.ID(rng.Intn(e.Graph().NumIDs()))
 				v := graph.ID(rng.Intn(e.Graph().NumIDs()))
 				if u != v {
-					if err := e.ApplyEdgeAdditions([]graph.EdgeTriple{{U: u, V: v, W: int32(1 + rng.Intn(4))}}); err != nil {
+					if err := e.applyEdgeAdditions([]graph.EdgeTriple{{U: u, V: v, W: int32(1 + rng.Intn(4))}}); err != nil {
 						return false
 					}
 				}

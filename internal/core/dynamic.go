@@ -19,7 +19,7 @@ import (
 // deletions (the paper's future work) compose edge deletions with row and
 // column retirement.
 
-// ApplyEdgeAdditions inserts the given new edges and incrementally updates
+// applyEdgeAdditions inserts the given new edges and incrementally updates
 // all distance vectors through them. The whole batch is validated before
 // anything mutates (a dead endpoint, self-loop or non-positive weight
 // rejects the batch intact); the edges then apply strictly one at a time in
@@ -36,7 +36,7 @@ import (
 // batch between edges: edges before the fault are applied (each one
 // atomically), the rest are not. The coordinator's consensus settling
 // handles the divergence exactly as it does any mid-op transport fault.
-func (e *Engine) ApplyEdgeAdditions(edges []graph.EdgeTriple) error {
+func (e *Engine) applyEdgeAdditions(edges []graph.EdgeTriple) error {
 	for _, ed := range edges {
 		if !e.g.Has(ed.U) || !e.g.Has(ed.V) {
 			return fmt.Errorf("core: edge {%d,%d} references a dead vertex", ed.U, ed.V)
@@ -135,7 +135,7 @@ func (e *Engine) broadcastRows(ids []graph.ID) (map[graph.ID][]int32, error) {
 	return out, nil
 }
 
-// ApplyEdgeDeletions removes the given edges as one joint batch and
+// applyEdgeDeletions removes the given edges as one joint batch and
 // invalidates every distance entry that may be supported by a path through
 // any of them, re-deriving invalidated rows from fresh local Dijkstra runs
 // merged over the surviving partial results. The engine is left
@@ -155,7 +155,7 @@ func (e *Engine) broadcastRows(ids []graph.ID) (map[graph.ID][]int32, error) {
 // out-of-range endpoint or a self-loop rejects the batch intact. Pairs that
 // name no live edge between live vertices are skipped (deletes are
 // idempotent).
-func (e *Engine) ApplyEdgeDeletions(pairs [][2]graph.ID) error {
+func (e *Engine) applyEdgeDeletions(pairs [][2]graph.ID) error {
 	if err := e.validateDeletionBatch(pairs); err != nil {
 		return err
 	}
@@ -294,8 +294,8 @@ func sortedExtIDs(ext map[graph.ID][]int32) []graph.ID {
 	return ids
 }
 
-// ApplyEdgeDeletionsEager removes the given edges *without* the convergence
-// barrier of ApplyEdgeDeletions, preserving the "anywhere" property for
+// applyEdgeDeletionsEager removes the given edges *without* the convergence
+// barrier of applyEdgeDeletions, preserving the "anywhere" property for
 // deletions at the price of coarser invalidation: any row whose columns for
 // both endpoints of a deleted edge are finite is reset wholesale and
 // reseeded from a local Dijkstra. Soundness on arbitrary partial state
@@ -303,10 +303,10 @@ func sortedExtIDs(ext map[graph.ID][]int32) []graph.ID {
 // {u,v} always has finite u and v columns in its own row — so resetting
 // every such row removes every possibly-supported entry without any
 // distance arithmetic. On converged state almost every row qualifies, which
-// degenerates toward a restart; prefer ApplyEdgeDeletions there.
-// Like ApplyEdgeDeletions, the whole batch is validated before anything
+// degenerates toward a restart; prefer MutEdgeDelete there.
+// Like applyEdgeDeletions, the whole batch is validated before anything
 // mutates; pairs naming no live edge are skipped.
-func (e *Engine) ApplyEdgeDeletionsEager(pairs [][2]graph.ID) error {
+func (e *Engine) applyEdgeDeletionsEager(pairs [][2]graph.ID) error {
 	if err := e.validateDeletionBatch(pairs); err != nil {
 		return err
 	}
@@ -429,51 +429,39 @@ func (e *Engine) validateDeletionBatch(pairs [][2]graph.ID) error {
 	return nil
 }
 
-// SetEdgeWeight changes the weight of an existing edge. A decrease is an
-// incremental relaxation; an increase is a deletion followed by an
-// insertion at the new weight (the shared DecomposeWeightSet sequence), per
-// the paper's edge-weight-change strategy.
-func (e *Engine) SetEdgeWeight(u, v graph.ID, w int32) error {
-	old, ok := e.g.Weight(u, v)
-	if !ok {
-		return fmt.Errorf("core: SetEdgeWeight on missing edge {%d,%d}", u, v)
-	}
-	switch {
-	case w < 1:
-		return fmt.Errorf("core: non-positive weight %d on edge {%d,%d}", w, u, v)
-	case w == old:
-		return nil
-	case w < old:
-		return e.ApplyEdgeAdditions([]graph.EdgeTriple{{U: u, V: v, W: w}})
-	default:
-		steps := DecomposeWeightSet(u, v, w, false)
-		for i := range steps {
-			if err := e.applyMutation(&steps[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
-
-// SetEdgeWeights applies a batch of absolute weight changes with the same
-// whole-batch-validate-before-mutate contract as ApplyEdgeAdditions: every
-// target edge must exist between live vertices and every new weight must be
-// positive, or the whole batch is rejected and nothing mutates. The changes
-// then apply one at a time in input order (weight changes never remove
-// edges, so the upfront validation stays sound throughout the batch).
-func (e *Engine) SetEdgeWeights(updates []graph.EdgeTriple) error {
+// setEdgeWeights (MutSetWeight) applies a batch of absolute weight changes
+// with the same whole-batch-validate-before-mutate contract as
+// applyEdgeAdditions: every target edge must exist between live vertices and
+// every new weight must be positive, or the whole batch is rejected and
+// nothing mutates. The changes then apply one at a time in input order
+// (weight changes never remove edges, so the upfront validation stays sound
+// throughout the batch): a decrease is an incremental relaxation; an increase
+// is a deletion followed by an insertion at the new weight (the shared
+// DecomposeWeightSet sequence), per the paper's edge-weight-change strategy.
+func (e *Engine) setEdgeWeights(updates []graph.EdgeTriple) error {
 	for _, up := range updates {
 		if up.W < 1 {
 			return fmt.Errorf("core: non-positive weight %d on edge {%d,%d}", up.W, up.U, up.V)
 		}
 		if _, ok := e.g.Weight(up.U, up.V); !ok {
-			return fmt.Errorf("core: SetEdgeWeight on missing edge {%d,%d}", up.U, up.V)
+			return fmt.Errorf("core: weight set on missing edge {%d,%d}", up.U, up.V)
 		}
 	}
 	for _, up := range updates {
-		if err := e.SetEdgeWeight(up.U, up.V, up.W); err != nil {
-			return err
+		old, _ := e.g.Weight(up.U, up.V)
+		switch {
+		case up.W == old:
+		case up.W < old:
+			if err := e.applyEdgeAdditions([]graph.EdgeTriple{up}); err != nil {
+				return err
+			}
+		default:
+			steps := DecomposeWeightSet(up.U, up.V, up.W, false)
+			for i := range steps {
+				if err := e.applyMutation(&steps[i]); err != nil {
+					return err
+				}
+			}
 		}
 	}
 	return nil
@@ -520,12 +508,12 @@ func (b *VertexBatch) Validate() error {
 // NumEdges returns the total number of edges the batch introduces.
 func (b *VertexBatch) NumEdges() int { return len(b.Internal) + len(b.External) }
 
-// ApplyVertexAdditions performs the paper's anywhere vertex-addition
+// applyVertexAdditions performs the paper's anywhere vertex-addition
 // strategy (Fig. 2): choose owner processors for the new vertices with the
 // given assignment strategy, grow every DV by the new columns, and add the
 // batch's edges with the edge-addition algorithm (Fig. 3). It returns the
 // IDs assigned to the new vertices.
-func (e *Engine) ApplyVertexAdditions(batch *VertexBatch, ps ProcessorAssigner) ([]graph.ID, error) {
+func (e *Engine) applyVertexAdditions(batch *VertexBatch, ps ProcessorAssigner) ([]graph.ID, error) {
 	if e.Partial() {
 		return nil, fmt.Errorf("core: vertex additions are not supported on a partial (multi-process worker) engine")
 	}
@@ -580,7 +568,7 @@ func (e *Engine) ApplyVertexAdditions(batch *VertexBatch, ps ProcessorAssigner) 
 	for _, ed := range batch.External {
 		edges = append(edges, graph.EdgeTriple{U: ids[ed.New], V: ed.To, W: ed.W})
 	}
-	if err := e.ApplyEdgeAdditions(edges); err != nil {
+	if err := e.applyEdgeAdditions(edges); err != nil {
 		return nil, err
 	}
 	// Seed each new row with an IA-quality local Dijkstra (the new vertex
@@ -609,22 +597,22 @@ func (e *Engine) ApplyVertexAdditions(batch *VertexBatch, ps ProcessorAssigner) 
 	return ids, nil
 }
 
-// RemoveVertices deletes the given live vertices: all incident edges are
+// removeVertices deletes the given live vertices: all incident edges are
 // removed with the deletion strategy, then the rows, columns and ownership
 // of the vertices are retired. This is the vertex-deletion extension the
 // paper lists as future work. The whole batch is validated before anything
 // mutates: a dead or duplicated vertex rejects the batch intact.
-func (e *Engine) RemoveVertices(ids []graph.ID) error {
+func (e *Engine) removeVertices(ids []graph.ID) error {
 	if e.Partial() {
 		return fmt.Errorf("core: vertex removals are not supported on a partial (multi-process worker) engine")
 	}
 	seen := make(map[graph.ID]bool, len(ids))
 	for _, v := range ids {
 		if !e.g.Has(v) {
-			return fmt.Errorf("core: RemoveVertices of dead vertex %d", v)
+			return fmt.Errorf("core: vertex removal of dead vertex %d", v)
 		}
 		if seen[v] {
-			return fmt.Errorf("core: RemoveVertices lists vertex %d twice", v)
+			return fmt.Errorf("core: vertex removal lists vertex %d twice", v)
 		}
 		seen[v] = true
 	}
@@ -636,7 +624,7 @@ func (e *Engine) RemoveVertices(ids []graph.ID) error {
 			pairs = append(pairs, [2]graph.ID{v, ed.To})
 		}
 	}
-	if err := e.ApplyEdgeDeletions(pairs); err != nil {
+	if err := e.applyEdgeDeletions(pairs); err != nil {
 		return err
 	}
 	for _, v := range ids {

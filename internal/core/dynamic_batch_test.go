@@ -57,7 +57,7 @@ func TestEdgeAdditionsRejectWholeBatchOnDeadVertex(t *testing.T) {
 		{U: 0, V: v, W: 1}, // valid, must NOT survive the rejection
 		{U: 1, V: bad, W: 1},
 	}
-	if err := e.ApplyEdgeAdditions(batch); err == nil {
+	if err := e.applyEdgeAdditions(batch); err == nil {
 		t.Fatal("batch with dead endpoint accepted")
 	}
 	if _, ok := e.Graph().Weight(0, v); ok {
@@ -78,7 +78,7 @@ func TestEdgeAdditionsRejectWholeBatchOnSelfLoop(t *testing.T) {
 		{U: 2, V: v, W: 1},
 		{U: 9, V: 9, W: 1},
 	}
-	if err := e.ApplyEdgeAdditions(batch); err == nil {
+	if err := e.applyEdgeAdditions(batch); err == nil {
 		t.Fatal("batch with self-loop accepted")
 	}
 	if _, ok := e.Graph().Weight(2, v); ok {
@@ -100,7 +100,7 @@ func TestEdgeAdditionsRejectWholeBatchOnNonPositiveWeight(t *testing.T) {
 			{U: 4, V: v, W: 2},
 			{U: 5, V: 45, W: w},
 		}
-		if err := e.ApplyEdgeAdditions(batch); err == nil {
+		if err := e.applyEdgeAdditions(batch); err == nil {
 			t.Fatalf("batch with weight %d accepted", w)
 		}
 		if _, ok := e.Graph().Weight(4, v); ok {
@@ -123,7 +123,7 @@ func TestEdgeAdditionsRejectionMidAnalysis(t *testing.T) {
 		{U: 3, V: 60, W: 1},
 		{U: 7, V: 7, W: 2}, // self-loop rejects the batch
 	}
-	if err := e.ApplyEdgeAdditions(batch); err == nil {
+	if err := e.applyEdgeAdditions(batch); err == nil {
 		t.Fatal("batch with self-loop accepted")
 	}
 	rejectedBatchLeavesStateIntact(t, e, edges, false)
@@ -137,7 +137,7 @@ func TestRemoveVerticesRejectsDuplicates(t *testing.T) {
 
 	verts := e.Graph().NumVertices()
 	edges := e.Graph().NumEdges()
-	if err := e.RemoveVertices([]graph.ID{10, 11, 10}); err == nil {
+	if err := e.removeVertices([]graph.ID{10, 11, 10}); err == nil {
 		t.Fatal("duplicate vertex in removal batch accepted")
 	}
 	if got := e.Graph().NumVertices(); got != verts {
@@ -153,14 +153,14 @@ func TestRemoveVerticesRejectsDeadVertexWholeBatch(t *testing.T) {
 	mustRun(t, e)
 
 	// Legitimately retire one vertex, then name it in a later batch.
-	if err := e.RemoveVertices([]graph.ID{20}); err != nil {
+	if err := e.removeVertices([]graph.ID{20}); err != nil {
 		t.Fatal(err)
 	}
 	mustRun(t, e)
 
 	verts := e.Graph().NumVertices()
 	edges := e.Graph().NumEdges()
-	if err := e.RemoveVertices([]graph.ID{21, 20}); err == nil {
+	if err := e.removeVertices([]graph.ID{21, 20}); err == nil {
 		t.Fatal("batch naming a dead vertex accepted")
 	}
 	if !e.Graph().Has(21) {

@@ -602,7 +602,7 @@ var ErrExchange = errors.New("core: exchange failed")
 // Step performs one recombination step through the four explicit phases of
 // the RC pipeline — collect → exchange → install/relax → strategies — all
 // running on the engine's execution runtime. Dynamic changes are applied
-// between steps via the Apply* methods; the strategies phase mirrors the
+// between steps via ApplyBatch; the strategies phase mirrors the
 // paper's recombination template where the strategy runs at line 17 of each
 // iteration.
 //
@@ -791,7 +791,7 @@ func (e *Engine) SpanKey() uint64 {
 
 // Graph returns a read-only view of the engine's live graph. The view always
 // reflects the current graph (it is not a copy), but exposes no mutating
-// methods: dynamic changes go through the Apply* methods (or an
+// methods: dynamic changes go through ApplyBatch (or an
 // anytime.Session's mutation queue), and the baseline-restart protocol
 // mutates a Clone of the view and hands it to ReinitializeFrom.
 func (e *Engine) Graph() graph.View { return e.g }

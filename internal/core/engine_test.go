@@ -56,6 +56,11 @@ func mustRun(t *testing.T, e *Engine) int {
 	return steps
 }
 
+// setWeight is the single-edge form of setEdgeWeights.
+func setWeight(e *Engine, u, v graph.ID, w int32) error {
+	return e.setEdgeWeights([]graph.EdgeTriple{{U: u, V: v, W: w}})
+}
+
 func TestStaticConvergesToExactPath(t *testing.T) {
 	e := mustEngine(t, gen.Path(20), 4)
 	mustRun(t, e)
@@ -131,7 +136,7 @@ func TestEdgeAdditionsIncremental(t *testing.T) {
 		{U: 10, V: 77, W: 2},
 		{U: 0, V: 149, W: 1},
 	}
-	if err := e.ApplyEdgeAdditions(adds); err != nil {
+	if err := e.applyEdgeAdditions(adds); err != nil {
 		t.Fatal(err)
 	}
 	mustRun(t, e)
@@ -143,7 +148,7 @@ func TestEdgeAdditionMidAnalysis(t *testing.T) {
 	e := mustEngine(t, g, 8)
 	e.Step()
 	e.Step()
-	if err := e.ApplyEdgeAdditions([]graph.EdgeTriple{{U: 5, V: 120, W: 1}}); err != nil {
+	if err := e.applyEdgeAdditions([]graph.EdgeTriple{{U: 5, V: 120, W: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	mustRun(t, e)
@@ -155,7 +160,7 @@ func TestEdgeAdditionExistingHeavier(t *testing.T) {
 	e := mustEngine(t, g, 2)
 	mustRun(t, e)
 	// Heavier than existing: must be ignored.
-	if err := e.ApplyEdgeAdditions([]graph.EdgeTriple{{U: 0, V: 1, W: 50}}); err != nil {
+	if err := e.applyEdgeAdditions([]graph.EdgeTriple{{U: 0, V: 1, W: 50}}); err != nil {
 		t.Fatal(err)
 	}
 	if w, _ := e.Graph().Weight(0, 1); w != 1 {
@@ -169,7 +174,7 @@ func TestEdgeWeightDecrease(t *testing.T) {
 	g := gen.Grid(6, 6, gen.Config{MaxWeight: 9})
 	e := mustEngine(t, g, 4)
 	mustRun(t, e)
-	if err := e.SetEdgeWeight(0, 1, 1); err != nil {
+	if err := setWeight(e, 0, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	mustRun(t, e)
@@ -180,7 +185,7 @@ func TestEdgeWeightIncrease(t *testing.T) {
 	g := gen.Grid(6, 6, gen.Config{})
 	e := mustEngine(t, g, 4)
 	mustRun(t, e)
-	if err := e.SetEdgeWeight(0, 1, 7); err != nil {
+	if err := setWeight(e, 0, 1, 7); err != nil {
 		t.Fatal(err)
 	}
 	mustRun(t, e)
@@ -193,7 +198,7 @@ func TestEdgeDeletionConverged(t *testing.T) {
 	mustRun(t, e)
 	edges := g.Edges()
 	del := [][2]graph.ID{{edges[0].U, edges[0].V}, {edges[7].U, edges[7].V}}
-	if err := e.ApplyEdgeDeletions(del); err != nil {
+	if err := e.applyEdgeDeletions(del); err != nil {
 		t.Fatal(err)
 	}
 	mustRun(t, e)
@@ -206,7 +211,7 @@ func TestEdgeDeletionMidAnalysis(t *testing.T) {
 	e.Step() // partial state only
 	edges := e.Graph().Edges()
 	del := [][2]graph.ID{{edges[3].U, edges[3].V}}
-	if err := e.ApplyEdgeDeletions(del); err != nil {
+	if err := e.applyEdgeDeletions(del); err != nil {
 		t.Fatal(err)
 	}
 	mustRun(t, e)
@@ -217,7 +222,7 @@ func TestEdgeDeletionDisconnects(t *testing.T) {
 	g := gen.Path(12)
 	e := mustEngine(t, g, 4)
 	mustRun(t, e)
-	if err := e.ApplyEdgeDeletions([][2]graph.ID{{5, 6}}); err != nil {
+	if err := e.applyEdgeDeletions([][2]graph.ID{{5, 6}}); err != nil {
 		t.Fatal(err)
 	}
 	mustRun(t, e)
@@ -240,7 +245,7 @@ func TestVertexAdditionRoundRobin(t *testing.T) {
 			{New: 0, To: 10, W: 1}, {New: 4, To: 90, W: 2},
 		},
 	}
-	ids, err := e.ApplyVertexAdditions(batch, &RoundRobinPS{})
+	ids, err := e.applyVertexAdditions(batch, &RoundRobinPS{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +270,7 @@ func TestVertexAdditionCutEdge(t *testing.T) {
 	}
 	batch.External = append(batch.External,
 		AttachEdge{New: 0, To: 3, W: 1}, AttachEdge{New: 7, To: 50, W: 1})
-	if _, err := e.ApplyVertexAdditions(batch, &CutEdgePS{Seed: 3}); err != nil {
+	if _, err := e.applyVertexAdditions(batch, &CutEdgePS{Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
 	mustRun(t, e)
@@ -281,7 +286,7 @@ func TestVertexAdditionMidAnalysis(t *testing.T) {
 		Internal: []BatchEdge{{A: 0, B: 1, W: 1}, {A: 1, B: 2, W: 1}},
 		External: []AttachEdge{{New: 0, To: 7, W: 1}},
 	}
-	if _, err := e.ApplyVertexAdditions(batch, &RoundRobinPS{}); err != nil {
+	if _, err := e.applyVertexAdditions(batch, &RoundRobinPS{}); err != nil {
 		t.Fatal(err)
 	}
 	mustRun(t, e)
@@ -293,7 +298,7 @@ func TestVertexAdditionIsolatedNewVertex(t *testing.T) {
 	e := mustEngine(t, g, 4)
 	mustRun(t, e)
 	batch := &VertexBatch{Count: 2, External: []AttachEdge{{New: 0, To: 0, W: 1}}}
-	ids, err := e.ApplyVertexAdditions(batch, &RoundRobinPS{})
+	ids, err := e.applyVertexAdditions(batch, &RoundRobinPS{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +318,7 @@ func TestRepartitionStrategy(t *testing.T) {
 		Internal: []BatchEdge{{A: 0, B: 1, W: 1}, {A: 2, B: 3, W: 1}, {A: 4, B: 5, W: 1}},
 		External: []AttachEdge{{New: 0, To: 2, W: 1}, {New: 2, To: 30, W: 1}, {New: 4, To: 60, W: 2}},
 	}
-	res, err := e.Repartition(batch)
+	res, err := e.repartition(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +336,7 @@ func TestRepartitionPureRebalance(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustRun(t, e)
-	if _, err := e.Repartition(nil); err != nil {
+	if _, err := e.repartition(nil); err != nil {
 		t.Fatal(err)
 	}
 	mustRun(t, e)
@@ -342,7 +347,7 @@ func TestRemoveVertices(t *testing.T) {
 	g := gen.BarabasiAlbert(80, 2, 46, gen.Config{MaxWeight: 2})
 	e := mustEngine(t, g, 4)
 	mustRun(t, e)
-	if err := e.RemoveVertices([]graph.ID{5, 40}); err != nil {
+	if err := e.removeVertices([]graph.ID{5, 40}); err != nil {
 		t.Fatal(err)
 	}
 	mustRun(t, e)
@@ -369,12 +374,12 @@ func TestIncrementalMixedChanges(t *testing.T) {
 	g := gen.BarabasiAlbert(150, 2, 48, gen.Config{MaxWeight: 3})
 	e := mustEngine(t, g, 8)
 	e.Step()
-	if err := e.ApplyEdgeAdditions([]graph.EdgeTriple{{U: 2, V: 120, W: 1}}); err != nil {
+	if err := e.applyEdgeAdditions([]graph.EdgeTriple{{U: 2, V: 120, W: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	e.Step()
 	edges := e.Graph().Edges()
-	if err := e.ApplyEdgeDeletions([][2]graph.ID{{edges[10].U, edges[10].V}}); err != nil {
+	if err := e.applyEdgeDeletions([][2]graph.ID{{edges[10].U, edges[10].V}}); err != nil {
 		t.Fatal(err)
 	}
 	e.Step()
@@ -383,7 +388,7 @@ func TestIncrementalMixedChanges(t *testing.T) {
 		Internal: []BatchEdge{{A: 0, B: 1, W: 1}, {A: 2, B: 3, W: 2}},
 		External: []AttachEdge{{New: 0, To: 11, W: 1}, {New: 2, To: 99, W: 1}},
 	}
-	if _, err := e.ApplyVertexAdditions(batch, &RoundRobinPS{}); err != nil {
+	if _, err := e.applyVertexAdditions(batch, &RoundRobinPS{}); err != nil {
 		t.Fatal(err)
 	}
 	mustRun(t, e)

@@ -135,7 +135,7 @@ func TestOutageDuringDynamicChanges(t *testing.T) {
 		t.Fatal("expected failure")
 	}
 	// Mutate mid-outage: the new edge's updates join the rolled-back rows.
-	if err := e.ApplyEdgeAdditions([]graph.EdgeTriple{{U: 0, V: 30, W: 1}}); err != nil {
+	if err := e.applyEdgeAdditions([]graph.EdgeTriple{{U: 0, V: 30, W: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Step(); err == nil {

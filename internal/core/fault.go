@@ -143,7 +143,7 @@ func (e *Engine) RebalanceIfNeeded(threshold float64) (bool, error) {
 	if e.Imbalance().VertexImbalance <= threshold {
 		return false, nil
 	}
-	if _, err := e.Repartition(nil); err != nil {
+	if _, err := e.repartition(nil); err != nil {
 		return false, err
 	}
 	return true, nil

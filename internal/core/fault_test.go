@@ -48,11 +48,11 @@ func TestFailProcessorThenDynamics(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Dynamic changes while recovery is still propagating.
-	if err := e.ApplyEdgeAdditions([]graph.EdgeTriple{{U: 0, V: 149, W: 1}}); err != nil {
+	if err := e.applyEdgeAdditions([]graph.EdgeTriple{{U: 0, V: 149, W: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	batch := &VertexBatch{Count: 2, External: []AttachEdge{{New: 0, To: 10, W: 1}, {New: 1, To: 20, W: 1}}}
-	if _, err := e.ApplyVertexAdditions(batch, &RoundRobinPS{}); err != nil {
+	if _, err := e.applyVertexAdditions(batch, &RoundRobinPS{}); err != nil {
 		t.Fatal(err)
 	}
 	mustRun(t, e)
@@ -83,7 +83,7 @@ func TestRebalanceIfNeeded(t *testing.T) {
 		batch.Internal = append(batch.Internal, BatchEdge{A: 0, B: i, W: 1})
 	}
 	batch.External = append(batch.External, AttachEdge{New: 0, To: 0, W: 1})
-	if _, err := e.ApplyVertexAdditions(batch, pinnedPS{}); err != nil {
+	if _, err := e.applyVertexAdditions(batch, pinnedPS{}); err != nil {
 		t.Fatal(err)
 	}
 	mustRun(t, e)
@@ -152,7 +152,7 @@ func TestPropertyFailureRecoveryExact(t *testing.T) {
 					W: int32(1 + rng.Intn(4)),
 				}}
 				if adds[0].U != adds[0].V {
-					if err := e.ApplyEdgeAdditions(adds); err != nil {
+					if err := e.applyEdgeAdditions(adds); err != nil {
 						return false
 					}
 				}

@@ -36,17 +36,17 @@ func TestOptionMatrix(t *testing.T) {
 						Internal: []BatchEdge{{A: 0, B: 1, W: 1}, {A: 1, B: 2, W: 2}},
 						External: []AttachEdge{{New: 0, To: 7, W: 1}, {New: 2, To: 90, W: 1}},
 					}
-					if _, err := e.ApplyVertexAdditions(batch, &CutEdgePS{Seed: 99}); err != nil {
+					if _, err := e.applyVertexAdditions(batch, &CutEdgePS{Seed: 99}); err != nil {
 						t.Fatal(err)
 					}
-					if err := e.ApplyEdgeAdditions([]graph.EdgeTriple{{U: 3, V: 110, W: 1}}); err != nil {
+					if err := e.applyEdgeAdditions([]graph.EdgeTriple{{U: 3, V: 110, W: 1}}); err != nil {
 						t.Fatal(err)
 					}
 					del := [][2]graph.ID{{0, 1}}
 					if eagerDel {
-						err = e.ApplyEdgeDeletionsEager(del)
+						err = e.applyEdgeDeletionsEager(del)
 					} else {
-						err = e.ApplyEdgeDeletions(del)
+						err = e.applyEdgeDeletions(del)
 					}
 					if err != nil {
 						t.Fatal(err)

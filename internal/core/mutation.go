@@ -127,7 +127,8 @@ func RepartitionOp(batch *VertexBatch) Mutation {
 // Validate checks the mutation structurally — everything that can be checked
 // without graph access (negative IDs, self-loops, non-positive weights,
 // batch index ranges, missing assigner). Liveness of the referenced vertices
-// and edges is checked at apply time by the per-kind engine methods.
+// and edges is checked at apply time by the per-kind helper behind
+// applyMutation.
 func (m *Mutation) Validate() error {
 	switch m.Kind {
 	case MutNone:
@@ -236,8 +237,8 @@ func (b *Batch) Validate() error {
 
 // BatchError reports the first failing operation of a batch apply. Ops
 // before Index were applied and stay applied; the failing op itself mutated
-// nothing (every per-kind engine method validates its whole input before
-// touching state); ops after Index were not attempted.
+// nothing (every per-kind helper validates its whole input before touching
+// state); ops after Index were not attempted.
 type BatchError struct {
 	Index int
 	Err   error
@@ -250,10 +251,12 @@ func (e *BatchError) Error() string {
 // Unwrap exposes the underlying per-op error to errors.Is/As.
 func (e *BatchError) Unwrap() error { return e.Err }
 
-// ApplyBatch validates the whole batch structurally, then applies the ops
-// strictly in order, each through its per-kind engine method. Any error is a
+// ApplyBatch is the engine's only mutation entry point: it validates the
+// whole batch structurally (a *BatchError from this stage means nothing was
+// applied), then applies the ops strictly in order. Any error is a
 // *BatchError identifying the op; result fields (AssignedIDs, Repart) are
-// written into the batch's own Mutation values.
+// written into the batch's own Mutation values. The engine is left
+// un-converged; run Step/Run to propagate the effects.
 func (e *Engine) ApplyBatch(b *Batch) error {
 	if err := b.Validate(); err != nil {
 		e.rec.Record("core", "batch-error", e.spanKey, fmt.Sprintf("validate: %v (nothing applied)", err))
@@ -269,28 +272,28 @@ func (e *Engine) ApplyBatch(b *Batch) error {
 	return nil
 }
 
-// applyMutation dispatches one mutation to its per-kind method, filling the
+// applyMutation dispatches one mutation to its per-kind helper, filling the
 // mutation's result fields.
 func (e *Engine) applyMutation(m *Mutation) error {
 	switch m.Kind {
 	case MutNone:
 		return nil
 	case MutEdgeAdd:
-		return e.ApplyEdgeAdditions(m.Edges)
+		return e.applyEdgeAdditions(m.Edges)
 	case MutEdgeDelete:
-		return e.ApplyEdgeDeletions(m.Pairs)
+		return e.applyEdgeDeletions(m.Pairs)
 	case MutEdgeDeleteEager:
-		return e.ApplyEdgeDeletionsEager(m.Pairs)
+		return e.applyEdgeDeletionsEager(m.Pairs)
 	case MutSetWeight:
-		return e.SetEdgeWeights(m.Edges)
+		return e.setEdgeWeights(m.Edges)
 	case MutVertexAdd:
-		ids, err := e.ApplyVertexAdditions(m.Batch, m.Assign)
+		ids, err := e.applyVertexAdditions(m.Batch, m.Assign)
 		m.AssignedIDs = ids
 		return err
 	case MutVertexRemove:
-		return e.RemoveVertices(m.Verts)
+		return e.removeVertices(m.Verts)
 	case MutRepartition:
-		res, err := e.Repartition(m.Batch)
+		res, err := e.repartition(m.Batch)
 		m.Repart = res
 		return err
 	}
@@ -299,7 +302,7 @@ func (e *Engine) applyMutation(m *Mutation) error {
 
 // DecomposeWeightSet returns the canonical delete-then-reinsert decomposition
 // of "set edge {u,v} to weight w" — the paper's weight-increase strategy.
-// Both the engine's own SetEdgeWeight increase path and the distributed
+// Both the engine's own MutSetWeight increase path and the distributed
 // coordinator's rejoin-replay transformation apply exactly this sequence, so
 // local and cluster semantics cannot drift. eager selects the barrier-free
 // deletion flavour (detached replay, where no exchange rounds are available
@@ -318,12 +321,10 @@ type CoalesceMode uint8
 const (
 	// CoalesceExact (the default) performs only transformations that are
 	// bit-for-bit identical to the one-op-at-a-time schedule: adjacent
-	// edge-addition ops merge into one batch (ApplyEdgeAdditions applies
-	// edges strictly one at a time in input order, so concatenation is the
+	// edge-addition ops merge into one batch (MutEdgeAdd applies edges
+	// strictly one at a time in input order, so concatenation is the
 	// identity transform on the resulting distance state).
 	CoalesceExact CoalesceMode = iota
-	// CoalesceOff applies every op as its own unit.
-	CoalesceOff
 	// CoalesceAggressive additionally dedupes runs of adjacent weight
 	// changes to the last write per edge and cancels add-then-delete pairs
 	// of an edge absent from the live graph. These transforms preserve the
@@ -349,12 +350,6 @@ type ApplyUnit struct {
 // payloads.
 func Coalesce(ops []Mutation, mode CoalesceMode, g graph.View) []ApplyUnit {
 	units := make([]ApplyUnit, 0, len(ops))
-	if mode == CoalesceOff {
-		for i := range ops {
-			units = append(units, ApplyUnit{Mut: ops[i], First: i, Count: 1})
-		}
-		return units
-	}
 	for i := 0; i < len(ops); {
 		switch ops[i].Kind {
 		case MutEdgeAdd:

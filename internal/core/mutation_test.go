@@ -50,11 +50,11 @@ func TestEdgeAddBatchEqualsSingletonSequence(t *testing.T) {
 		{U: 3, V: 44, W: 5}, // duplicate pair, worse: skipped
 		{U: 12, V: 61, W: 4},
 	}
-	if err := a.ApplyEdgeAdditions(batch); err != nil {
+	if err := a.applyEdgeAdditions(batch); err != nil {
 		t.Fatal(err)
 	}
 	for _, ed := range batch {
-		if err := b.ApplyEdgeAdditions([]graph.EdgeTriple{ed}); err != nil {
+		if err := b.applyEdgeAdditions([]graph.EdgeTriple{ed}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -208,8 +208,9 @@ func TestCoalesceAggressiveCancellationGuards(t *testing.T) {
 }
 
 // DecomposeWeightSet is the one shared source of the weight-increase
-// decomposition; applying it must match SetEdgeWeight bit-for-bit (barrier
-// flavour) and stay exact under the eager flavour the detached replay uses.
+// decomposition; applying it must match the MutSetWeight increase path
+// bit-for-bit (barrier flavour) and stay exact under the eager flavour the
+// detached replay uses.
 func TestDecomposeWeightSetMatchesSetEdgeWeight(t *testing.T) {
 	a, b := enginePair(t, 60, 4)
 	defer a.Close()
@@ -223,7 +224,7 @@ func TestDecomposeWeightSetMatchesSetEdgeWeight(t *testing.T) {
 		break
 	}
 	w := have.W + 3
-	if err := a.SetEdgeWeight(have.U, have.V, w); err != nil {
+	if err := setWeight(a, have.U, have.V, w); err != nil {
 		t.Fatal(err)
 	}
 	steps := DecomposeWeightSet(have.U, have.V, w, false)
@@ -247,7 +248,7 @@ func TestDecomposeWeightSetMatchesSetEdgeWeight(t *testing.T) {
 	checkExact(t, c)
 }
 
-// SetEdgeWeights must reject the whole batch when any update names a missing
+// setEdgeWeights must reject the whole batch when any update names a missing
 // edge or a non-positive weight — with no prefix applied.
 func TestSetEdgeWeightsRejectsWholeBatch(t *testing.T) {
 	g := gen.BarabasiAlbert(60, 2, 5, gen.Config{MaxWeight: 3})
@@ -266,14 +267,14 @@ func TestSetEdgeWeightsRejectsWholeBatch(t *testing.T) {
 		{U: have.U, V: have.V, W: have.W + 4}, // valid, must NOT survive
 		{U: have.U, V: missing, W: 2},         // missing edge
 	}
-	if err := e.SetEdgeWeights(batch); err == nil {
+	if err := e.setEdgeWeights(batch); err == nil {
 		t.Fatal("batch naming a missing edge accepted")
 	}
 	if w, _ := e.Graph().Weight(have.U, have.V); w != have.W {
 		t.Fatalf("valid prefix update applied despite rejection: weight %d, want %d", w, have.W)
 	}
 	batch[1] = graph.EdgeTriple{U: have.U, V: have.V, W: 0}
-	if err := e.SetEdgeWeights(batch); err == nil {
+	if err := e.setEdgeWeights(batch); err == nil {
 		t.Fatal("batch with non-positive weight accepted")
 	}
 	if w, _ := e.Graph().Weight(have.U, have.V); w != have.W {
@@ -300,9 +301,9 @@ func TestEdgeDeletionsRejectWholeBatchOnBadPair(t *testing.T) {
 		dead := graph.ID(e.Graph().NumIDs()) + 5
 		del := func(pairs [][2]graph.ID) error {
 			if eager {
-				return e.ApplyEdgeDeletionsEager(pairs)
+				return e.applyEdgeDeletionsEager(pairs)
 			}
-			return e.ApplyEdgeDeletions(pairs)
+			return e.applyEdgeDeletions(pairs)
 		}
 		if err := del([][2]graph.ID{{have.U, have.V}, {3, dead}}); err == nil {
 			t.Fatalf("eager=%t: batch with dead endpoint accepted", eager)

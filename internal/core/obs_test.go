@@ -102,7 +102,7 @@ func TestEngineObsWorkerPool(t *testing.T) {
 		ed = [2]graph.ID{tr.U, tr.V}
 		break
 	}
-	if err := e.ApplyEdgeDeletions([][2]graph.ID{ed}); err != nil {
+	if err := e.applyEdgeDeletions([][2]graph.ID{ed}); err != nil {
 		t.Fatal(err)
 	}
 	reseed := reg.Histogram("aacc_engine_shard_imbalance", "", nil, obs.L("phase", "reseed"))

@@ -37,46 +37,46 @@ func TestApplyVertexAdditionsValidation(t *testing.T) {
 		{Count: 1, External: []AttachEdge{{New: 3, To: 0, W: 1}}}, // new index out of range
 	}
 	for i, b := range cases {
-		if _, err := e.ApplyVertexAdditions(b, &RoundRobinPS{}); err == nil {
+		if _, err := e.applyVertexAdditions(b, &RoundRobinPS{}); err == nil {
 			t.Fatalf("case %d accepted", i)
 		}
 	}
 	// Attaching to a dead vertex.
-	if err := e.RemoveVertices([]graph.ID{4}); err != nil {
+	if err := e.removeVertices([]graph.ID{4}); err != nil {
 		t.Fatal(err)
 	}
 	bad := &VertexBatch{Count: 1, External: []AttachEdge{{New: 0, To: 4, W: 1}}}
-	if _, err := e.ApplyVertexAdditions(bad, &RoundRobinPS{}); err == nil {
+	if _, err := e.applyVertexAdditions(bad, &RoundRobinPS{}); err == nil {
 		t.Fatal("attachment to dead vertex accepted")
 	}
-	if _, err := e.Repartition(bad); err == nil {
+	if _, err := e.repartition(bad); err == nil {
 		t.Fatal("repartition batch with dead attachment accepted")
 	}
 }
 
 func TestApplyEdgeAdditionsValidation(t *testing.T) {
 	e := mustEngine(t, gen.Path(10), 2)
-	if err := e.ApplyEdgeAdditions([]graph.EdgeTriple{{U: 1, V: 1, W: 1}}); err == nil {
+	if err := e.applyEdgeAdditions([]graph.EdgeTriple{{U: 1, V: 1, W: 1}}); err == nil {
 		t.Fatal("self-loop accepted")
 	}
-	if err := e.ApplyEdgeAdditions([]graph.EdgeTriple{{U: 1, V: 99, W: 1}}); err == nil {
+	if err := e.applyEdgeAdditions([]graph.EdgeTriple{{U: 1, V: 99, W: 1}}); err == nil {
 		t.Fatal("out-of-range endpoint accepted")
 	}
 }
 
 func TestSetEdgeWeightValidation(t *testing.T) {
 	e := mustEngine(t, gen.Path(10), 2)
-	if err := e.SetEdgeWeight(0, 5, 3); err == nil {
+	if err := setWeight(e, 0, 5, 3); err == nil {
 		t.Fatal("weight change on missing edge accepted")
 	}
-	if err := e.SetEdgeWeight(0, 1, 1); err != nil { // no-op same weight
+	if err := setWeight(e, 0, 1, 1); err != nil { // no-op same weight
 		t.Fatal(err)
 	}
 }
 
 func TestRemoveVerticesValidation(t *testing.T) {
 	e := mustEngine(t, gen.Path(10), 2)
-	if err := e.RemoveVertices([]graph.ID{42}); err == nil {
+	if err := e.removeVertices([]graph.ID{42}); err == nil {
 		t.Fatal("removal of invalid vertex accepted")
 	}
 }
@@ -84,16 +84,16 @@ func TestRemoveVerticesValidation(t *testing.T) {
 func TestEmptyOperationsAreNoOps(t *testing.T) {
 	e := mustEngine(t, gen.Path(20), 4)
 	mustRun(t, e)
-	if err := e.ApplyEdgeAdditions(nil); err != nil {
+	if err := e.applyEdgeAdditions(nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.ApplyEdgeDeletions(nil); err != nil {
+	if err := e.applyEdgeDeletions(nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.ApplyEdgeDeletionsEager(nil); err != nil {
+	if err := e.applyEdgeDeletionsEager(nil); err != nil {
 		t.Fatal(err)
 	}
-	if ids, err := e.ApplyVertexAdditions(&VertexBatch{}, &RoundRobinPS{}); err != nil || ids != nil {
+	if ids, err := e.applyVertexAdditions(&VertexBatch{}, &RoundRobinPS{}); err != nil || ids != nil {
 		t.Fatalf("empty batch: ids=%v err=%v", ids, err)
 	}
 	if !e.Converged() {
@@ -104,7 +104,7 @@ func TestEmptyOperationsAreNoOps(t *testing.T) {
 func TestDeletionOfMissingEdgeIsNoOp(t *testing.T) {
 	e := mustEngine(t, gen.Path(10), 2)
 	mustRun(t, e)
-	if err := e.ApplyEdgeDeletions([][2]graph.ID{{0, 9}}); err != nil {
+	if err := e.applyEdgeDeletions([][2]graph.ID{{0, 9}}); err != nil {
 		t.Fatal(err)
 	}
 	checkExact(t, e)

@@ -419,7 +419,7 @@ func (pr *proc) invalidateAndReseedShards(e *Engine, batch []graph.EdgeTriple, e
 }
 
 // eagerDeleteShards is the worker-pool variant of the eager deletion body
-// (see ApplyEdgeDeletionsEager): suspect local rows are wiped and reseeded
+// (see applyEdgeDeletionsEager): suspect local rows are wiped and reseeded
 // across the pool; snapshot drops and bookkeeping stay sequential.
 func (pr *proc) eagerDeleteShards(e *Engine, suspect func([]int32) bool) map[graph.ID]bool {
 	pr.ensureWorkers(e)
@@ -516,9 +516,9 @@ func (pr *proc) seedNewRowsShards(e *Engine, ids []graph.ID, placement []int, p 
 	})
 }
 
-// repartitionReseedShards is the worker-pool variant of Repartition's final
+// repartitionReseedShards is the worker-pool variant of repartition's final
 // per-vertex pass: the flow-metadata bookkeeping runs sequentially first
-// (peer-mask reads hit the cache Repartition warmed before the parallel
+// (peer-mask reads hit the cache repartition warmed before the parallel
 // phase), the Dijkstra-merge reseeds shard across the pool, and the change
 // notes are applied in the ordered merge.
 func (pr *proc) repartitionReseedShards(e *Engine, firstNew graph.ID) {

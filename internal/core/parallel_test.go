@@ -43,7 +43,7 @@ func parallelWorkload(t *testing.T, workers int) []map[graph.ID][]int32 {
 			adds = append(adds, graph.EdgeTriple{U: u, V: v, W: int32(1 + i%3)})
 		}
 	}
-	if err := e.ApplyEdgeAdditions(adds); err != nil {
+	if err := e.applyEdgeAdditions(adds); err != nil {
 		t.Fatal(err)
 	}
 	snap()
@@ -54,7 +54,7 @@ func parallelWorkload(t *testing.T, workers int) []map[graph.ID][]int32 {
 		Internal: []BatchEdge{{A: 0, B: 1, W: 1}, {A: 1, B: 2, W: 2}, {A: 3, B: 4, W: 1}},
 		External: []AttachEdge{{New: 0, To: 3, W: 1}, {New: 2, To: 40, W: 2}, {New: 3, To: 111, W: 1}, {New: 4, To: 8, W: 3}},
 	}
-	if _, err := e.ApplyVertexAdditions(batch, &RoundRobinPS{}); err != nil {
+	if _, err := e.applyVertexAdditions(batch, &RoundRobinPS{}); err != nil {
 		t.Fatal(err)
 	}
 	snap()
@@ -66,14 +66,14 @@ func parallelWorkload(t *testing.T, workers int) []map[graph.ID][]int32 {
 			dels = append(dels, [2]graph.ID{ed.U, ed.V})
 		}
 	}
-	if err := e.ApplyEdgeDeletions(dels); err != nil {
+	if err := e.applyEdgeDeletions(dels); err != nil {
 		t.Fatal(err)
 	}
 	snap()
 
 	// Eager-mode deletions on partially-converged state: mutate, step twice
 	// (not to convergence), then delete eagerly.
-	if err := e.ApplyEdgeAdditions([]graph.EdgeTriple{{U: 5, V: 180, W: 2}, {U: 12, V: 150, W: 1}}); err != nil {
+	if err := e.applyEdgeAdditions([]graph.EdgeTriple{{U: 5, V: 180, W: 2}, {U: 12, V: 150, W: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
@@ -81,19 +81,19 @@ func parallelWorkload(t *testing.T, workers int) []map[graph.ID][]int32 {
 			t.Fatal(err)
 		}
 	}
-	if err := e.ApplyEdgeDeletionsEager([][2]graph.ID{{5, 180}}); err != nil {
+	if err := e.applyEdgeDeletionsEager([][2]graph.ID{{5, 180}}); err != nil {
 		t.Fatal(err)
 	}
 	snap()
 
 	// Weight change (deletion + re-insertion path).
-	if err := e.SetEdgeWeight(12, 150, 3); err != nil {
+	if err := setWeight(e, 12, 150, 3); err != nil {
 		t.Fatal(err)
 	}
 	snap()
 
 	// Repartition-S without a batch (pure rebalance; reseed shards).
-	if _, err := e.Repartition(nil); err != nil {
+	if _, err := e.repartition(nil); err != nil {
 		t.Fatal(err)
 	}
 	snap()

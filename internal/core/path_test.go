@@ -65,7 +65,7 @@ func TestPathRequiresConvergence(t *testing.T) {
 func TestPathRejectsDeadEndpoints(t *testing.T) {
 	e := mustEngine(t, gen.Path(6), 2)
 	mustRun(t, e)
-	if err := e.RemoveVertices([]graph.ID{5}); err != nil {
+	if err := e.removeVertices([]graph.ID{5}); err != nil {
 		t.Fatal(err)
 	}
 	mustRun(t, e)

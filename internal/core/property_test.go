@@ -67,7 +67,7 @@ func dynamicEqualsStatic(t *testing.T, seed int64) bool {
 					adds = append(adds, graph.EdgeTriple{U: u, V: v, W: int32(1 + rng.Intn(5))})
 				}
 			}
-			if err := e.ApplyEdgeAdditions(adds); err != nil {
+			if err := e.applyEdgeAdditions(adds); err != nil {
 				t.Logf("seed %d add: %v", seed, err)
 				return false
 			}
@@ -81,7 +81,7 @@ func dynamicEqualsStatic(t *testing.T, seed int64) bool {
 				ed := edges[rng.Intn(len(edges))]
 				del = append(del, [2]graph.ID{ed.U, ed.V})
 			}
-			if err := e.ApplyEdgeDeletions(del); err != nil {
+			if err := e.applyEdgeDeletions(del); err != nil {
 				t.Logf("seed %d del: %v", seed, err)
 				return false
 			}
@@ -91,7 +91,7 @@ func dynamicEqualsStatic(t *testing.T, seed int64) bool {
 				continue
 			}
 			ed := edges[rng.Intn(len(edges))]
-			if err := e.SetEdgeWeight(ed.U, ed.V, int32(1+rng.Intn(8))); err != nil {
+			if err := setWeight(e, ed.U, ed.V, int32(1+rng.Intn(8))); err != nil {
 				t.Logf("seed %d weight: %v", seed, err)
 				return false
 			}
@@ -101,7 +101,7 @@ func dynamicEqualsStatic(t *testing.T, seed int64) bool {
 			if rng.Intn(2) == 0 {
 				ps = &CutEdgePS{Seed: rng.Int63()}
 			}
-			if _, err := e.ApplyVertexAdditions(batch, ps); err != nil {
+			if _, err := e.applyVertexAdditions(batch, ps); err != nil {
 				t.Logf("seed %d vadd: %v", seed, err)
 				return false
 			}
@@ -111,7 +111,7 @@ func dynamicEqualsStatic(t *testing.T, seed int64) bool {
 				continue
 			}
 			victim := live[rng.Intn(len(live))]
-			if err := e.RemoveVertices([]graph.ID{victim}); err != nil {
+			if err := e.removeVertices([]graph.ID{victim}); err != nil {
 				t.Logf("seed %d vdel: %v", seed, err)
 				return false
 			}
@@ -120,7 +120,7 @@ func dynamicEqualsStatic(t *testing.T, seed int64) bool {
 			if rng.Intn(2) == 0 {
 				batch = randomBatch(rng, e.Graph())
 			}
-			if _, err := e.Repartition(batch); err != nil {
+			if _, err := e.repartition(batch); err != nil {
 				t.Logf("seed %d repart: %v", seed, err)
 				return false
 			}

@@ -43,11 +43,11 @@ func TestEagerLocalRefreshWithDynamics(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Step()
-	if err := e.ApplyEdgeAdditions([]graph.EdgeTriple{{U: 0, V: 100, W: 1}}); err != nil {
+	if err := e.applyEdgeAdditions([]graph.EdgeTriple{{U: 0, V: 100, W: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	batch := &VertexBatch{Count: 2, External: []AttachEdge{{New: 0, To: 3, W: 1}, {New: 1, To: 60, W: 1}}}
-	if _, err := e.ApplyVertexAdditions(batch, &RoundRobinPS{}); err != nil {
+	if _, err := e.applyVertexAdditions(batch, &RoundRobinPS{}); err != nil {
 		t.Fatal(err)
 	}
 	mustRun(t, e)

@@ -395,7 +395,7 @@ func relaxRowThroughEdge(row []int32, u graph.ID, w int32, vRow []int32, changed
 // Tests read only the *pristine* pre-sweep copy: the test for one edge must
 // not observe the invalidations of another edge in the same batch, or
 // prefix-witness columns disappear and supported entries slip through.
-// Soundness requires exact (converged) distances — ApplyEdgeDeletions
+// Soundness requires exact (converged) distances — applyEdgeDeletions
 // converges first — where an entry whose shortest path uses the edge always
 // satisfies one of the two bounds with equality. Over-invalidated entries
 // are re-derived by the reseed pass and the following RC steps.

@@ -55,7 +55,7 @@ func TestSoundnessAfterEveryOp(t *testing.T) {
 					adds = append(adds, graph.EdgeTriple{U: u, V: v, W: int32(1 + rng.Intn(5))})
 				}
 			}
-			if err := e.ApplyEdgeAdditions(adds); err != nil {
+			if err := e.applyEdgeAdditions(adds); err != nil {
 				t.Fatal(err)
 			}
 		case 1:
@@ -68,7 +68,7 @@ func TestSoundnessAfterEveryOp(t *testing.T) {
 				ed := edges[rng.Intn(len(edges))]
 				del = append(del, [2]graph.ID{ed.U, ed.V})
 			}
-			if err := e.ApplyEdgeDeletions(del); err != nil {
+			if err := e.applyEdgeDeletions(del); err != nil {
 				t.Fatal(err)
 			}
 		case 2:
@@ -77,7 +77,7 @@ func TestSoundnessAfterEveryOp(t *testing.T) {
 				continue
 			}
 			ed := edges[rng.Intn(len(edges))]
-			if err := e.SetEdgeWeight(ed.U, ed.V, int32(1+rng.Intn(8))); err != nil {
+			if err := setWeight(e, ed.U, ed.V, int32(1+rng.Intn(8))); err != nil {
 				t.Fatal(err)
 			}
 		case 3:
@@ -86,7 +86,7 @@ func TestSoundnessAfterEveryOp(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				ps = &CutEdgePS{Seed: rng.Int63()}
 			}
-			if _, err := e.ApplyVertexAdditions(batch, ps); err != nil {
+			if _, err := e.applyVertexAdditions(batch, ps); err != nil {
 				t.Fatal(err)
 			}
 		case 4:
@@ -95,7 +95,7 @@ func TestSoundnessAfterEveryOp(t *testing.T) {
 				continue
 			}
 			victim := live[rng.Intn(len(live))]
-			if err := e.RemoveVertices([]graph.ID{victim}); err != nil {
+			if err := e.removeVertices([]graph.ID{victim}); err != nil {
 				t.Fatal(err)
 			}
 		case 5:
@@ -103,7 +103,7 @@ func TestSoundnessAfterEveryOp(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				batch = randomBatch(rng, e.Graph())
 			}
-			if _, err := e.Repartition(batch); err != nil {
+			if _, err := e.repartition(batch); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -198,7 +198,7 @@ type RepartitionResult struct {
 	Migrated int
 }
 
-// Repartition implements the paper's Repartition-S strategy for large
+// repartition implements the paper's Repartition-S strategy for large
 // updates: the batch's vertices and edges are added to the graph with *no*
 // incremental DV relaxation, the whole grown graph is repartitioned with the
 // DD partitioner, existing vertices migrate to their new owners *with their
@@ -218,7 +218,7 @@ type RepartitionResult struct {
 // local row is re-marked as a full relaxation source and every held snapshot
 // gets a full pending scan, so the following RC steps re-reach the exact
 // fixpoint.
-func (e *Engine) Repartition(batch *VertexBatch) (*RepartitionResult, error) {
+func (e *Engine) repartition(batch *VertexBatch) (*RepartitionResult, error) {
 	if e.Partial() {
 		return nil, fmt.Errorf("core: repartitioning is not supported on a partial (multi-process worker) engine")
 	}

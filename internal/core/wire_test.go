@@ -173,10 +173,10 @@ func TestWireModeDynamics(t *testing.T) {
 		Internal: []BatchEdge{{A: 0, B: 1, W: 1}, {A: 1, B: 2, W: 2}},
 		External: []AttachEdge{{New: 0, To: 9, W: 1}},
 	}
-	if _, err := e.ApplyVertexAdditions(batch, &RoundRobinPS{}); err != nil {
+	if _, err := e.applyVertexAdditions(batch, &RoundRobinPS{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.ApplyEdgeDeletions([][2]graph.ID{{0, 1}}); err != nil {
+	if err := e.applyEdgeDeletions([][2]graph.ID{{0, 1}}); err != nil {
 		t.Fatal(err)
 	}
 	mustRun(t, e)

@@ -96,10 +96,11 @@ type workerState struct {
 }
 
 // Coordinator drives a cluster of worker processes and implements the same
-// engine surface anytime.Session orchestrates (anytime.Engine, checked in
-// the cli package to keep the import direction dist ← cli → anytime): the
-// session layer gains multi-process deployment without learning anything
-// about sockets. All methods are serialised by one mutex, which rejoin
+// engine surface anytime.Session orchestrates (anytime.Engine — stepping,
+// reads and the one ApplyBatch mutation entry point — checked in the cli
+// package to keep the import direction dist ← cli → anytime): the session
+// layer gains multi-process deployment without learning anything about
+// sockets. All methods are serialised by one mutex, which rejoin
 // admission also takes — a worker is only ever admitted between commands.
 type Coordinator struct {
 	cfg Config
@@ -130,7 +131,7 @@ type Coordinator struct {
 // connections on ln (rejecting joiners whose graph or parameters do not
 // match), assigns each worker a contiguous processor range, waits for every
 // engine to finish DD+IA, and starts the rejoin accept loop. The base graph g
-// is retained as the coordinator's mirror and mutated by the Apply* methods.
+// is retained as the coordinator's mirror and mutated by ApplyBatch.
 func NewCoordinator(ln net.Listener, g *graph.Graph, cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Workers < 1 || cfg.Workers > cfg.P {
@@ -848,20 +849,14 @@ func (c *Coordinator) Step() (core.StepReport, error) {
 	}, nil
 }
 
-// mutate drives one logged mutation across the cluster.
-func (c *Coordinator) mutate(op Op) error {
-	_, err := c.mutateBatch([]Op{op})
-	return err
-}
-
 // mutateBatch drives a batch of logged mutations across the cluster as ONE
 // control round trip per worker and applies the committed prefix to the
 // mirror graph. Workers stop at the first failing op (everything before it
 // stays applied, exactly like the engine's own batch apply); the coordinator
 // mirrors and logs only that committed prefix, so the rejoin replay log
 // remains a faithful reconstruction even of a partially failed batch. It
-// returns the index of the failing op (len(ops) on success) alongside the
-// error.
+// returns the number of committed ops (len(ops) on success) alongside the
+// error; a batch the workers rejected whole reports 0.
 func (c *Coordinator) mutateBatch(ops []Op) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -876,11 +871,11 @@ func (c *Coordinator) mutateBatch(ops []Op) (int, error) {
 	win, err := c.settle(outs)
 	c.coordSpan("coord.mutate", seq, start, fmt.Sprintf("%d logged ops", len(ops)), err)
 	if err != nil {
-		failed := 0
+		committed := 0
 		if win != nil {
-			failed = min(max(win.FailedOp, 0), len(ops)-1)
+			committed = min(max(win.FailedOp, 0), len(ops)-1)
 		}
-		for _, op := range ops[:failed] {
+		for _, op := range ops[:committed] {
 			c.applyMirror(op)
 			c.log = append(c.log, op)
 		}
@@ -895,7 +890,7 @@ func (c *Coordinator) mutateBatch(ops []Op) (int, error) {
 				}
 			}
 		}
-		return failed, fmt.Errorf("dist: %s: %s", ops[failed].Kind, err)
+		return committed, fmt.Errorf("dist: %s: %s", ops[committed].Kind, err)
 	}
 	for _, op := range ops {
 		c.applyMirror(op)
@@ -912,46 +907,37 @@ func (c *Coordinator) mutateBatch(ops []Op) (int, error) {
 	return len(ops), nil
 }
 
-// ApplyBatch lowers a typed mutation batch to wire ops and drives them
-// across the cluster in one control round trip per worker — the
-// high-throughput path behind the session's ingest pipeline. A failure is
-// reported as a *core.BatchError indexing the offending batch op; ops before
-// it committed cluster-wide, ops after it did not run (unlike the
-// single-process engine the cluster cannot retry past a failure, so the
-// session's per-constituent fallback sees honest verdicts). Mutations with
-// no cluster implementation (vertex additions/removals, repartitioning)
-// fail at their index after the preceding prefix committed.
+// ApplyBatch lowers a typed mutation batch to wire ops — one per mutation —
+// and drives them across the cluster in one control round trip per worker:
+// the coordinator's only mutation entry point and the path behind the
+// session's ingest pipeline. A failure is reported as a *core.BatchError
+// indexing the offending batch op; ops before it committed cluster-wide, ops
+// after it did not run (unlike the single-process engine the cluster cannot
+// retry past a failure, so the session's per-constituent fallback sees
+// honest verdicts). Mutations with no cluster implementation (vertex
+// additions/removals, repartitioning) fail at their index after the
+// preceding prefix committed.
 func (c *Coordinator) ApplyBatch(b *core.Batch) error {
 	if err := b.Validate(); err != nil {
 		return err
 	}
-	var ops []Op
-	var opIdx []int // wire op -> index in b.Ops
-	badIdx := -1
-	var badErr error
+	ops := make([]Op, 0, len(b.Ops))
+	var unsupported error
 	for i := range b.Ops {
-		w, err := opsFromMutation(&b.Ops[i])
+		op, err := opFromMutation(&b.Ops[i])
 		if err != nil {
-			badIdx, badErr = i, err
+			unsupported = err
 			break
 		}
-		for _, op := range w {
-			ops = append(ops, op)
-			opIdx = append(opIdx, i)
-		}
+		ops = append(ops, op)
 	}
 	if len(ops) > 0 {
-		failed, err := c.mutateBatch(ops)
-		if err != nil {
-			idx := 0
-			if failed >= 0 && failed < len(opIdx) {
-				idx = opIdx[failed]
-			}
-			return &core.BatchError{Index: idx, Err: err}
+		if committed, err := c.mutateBatch(ops); err != nil {
+			return &core.BatchError{Index: committed, Err: err}
 		}
 	}
-	if badIdx >= 0 {
-		return &core.BatchError{Index: badIdx, Err: badErr}
+	if unsupported != nil {
+		return &core.BatchError{Index: len(ops), Err: unsupported}
 	}
 	return nil
 }
@@ -960,63 +946,24 @@ func (c *Coordinator) ApplyBatch(b *core.Batch) error {
 // mimicking the engine's semantics (only improving additions insert).
 func (c *Coordinator) applyMirror(op Op) {
 	switch op.Kind {
-	case opEdgeAdd:
+	case core.MutEdgeAdd:
 		for _, ed := range op.Edges {
 			if w, ok := c.g.Weight(ed.U, ed.V); ok && w <= ed.W {
 				continue
 			}
 			c.g.AddEdge(ed.U, ed.V, ed.W)
 		}
-	case opEdgeDel, opEdgeDelEager:
+	case core.MutEdgeDelete, core.MutEdgeDeleteEager:
 		for _, p := range op.Pairs {
 			c.g.RemoveEdge(p[0], p[1])
 		}
-	case opSetWeight:
-		if c.g.HasEdge(op.U, op.V) {
-			c.g.AddEdge(op.U, op.V, op.W)
+	case core.MutSetWeight:
+		for _, ed := range op.Edges {
+			if c.g.HasEdge(ed.U, ed.V) {
+				c.g.AddEdge(ed.U, ed.V, ed.W)
+			}
 		}
 	}
-}
-
-// ApplyEdgeAdditions implements the anytime engine surface across the
-// cluster; the batch becomes one entry of the rejoin replay log.
-func (c *Coordinator) ApplyEdgeAdditions(edges []graph.EdgeTriple) error {
-	return c.mutate(Op{Kind: opEdgeAdd, Edges: append([]graph.EdgeTriple(nil), edges...)})
-}
-
-// ApplyEdgeDeletions removes edges in barrier mode: each worker first
-// converges the analysis (the coordinator arbitrates those internal exchange
-// rounds like any others), then deletes and invalidates.
-func (c *Coordinator) ApplyEdgeDeletions(pairs [][2]graph.ID) error {
-	return c.mutate(Op{Kind: opEdgeDel, Pairs: append([][2]graph.ID(nil), pairs...)})
-}
-
-// ApplyEdgeDeletionsEager removes edges without the convergence barrier.
-func (c *Coordinator) ApplyEdgeDeletionsEager(pairs [][2]graph.ID) error {
-	return c.mutate(Op{Kind: opEdgeDelEager, Pairs: append([][2]graph.ID(nil), pairs...)})
-}
-
-// SetEdgeWeight changes one edge's weight cluster-wide.
-func (c *Coordinator) SetEdgeWeight(u, v graph.ID, w int32) error {
-	return c.mutate(Op{Kind: opSetWeight, U: u, V: v, W: w})
-}
-
-// ApplyVertexAdditions is not supported in the multi-process deployment (the
-// engine-side growth path is single-process only); use a single-process
-// session for vertex-dynamic workloads.
-func (c *Coordinator) ApplyVertexAdditions(*core.VertexBatch, core.ProcessorAssigner) ([]graph.ID, error) {
-	return nil, fmt.Errorf("dist: vertex additions are not supported in a multi-process cluster")
-}
-
-// RemoveVertices is not supported in the multi-process deployment.
-func (c *Coordinator) RemoveVertices([]graph.ID) error {
-	return fmt.Errorf("dist: vertex removals are not supported in a multi-process cluster")
-}
-
-// Repartition is not supported in the multi-process deployment: the resident
-// ranges are fixed at cluster formation.
-func (c *Coordinator) Repartition(*core.VertexBatch) (*core.RepartitionResult, error) {
-	return nil, fmt.Errorf("dist: repartitioning is not supported in a multi-process cluster")
 }
 
 // Converged reports the cluster consensus from the latest command.

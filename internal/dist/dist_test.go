@@ -179,26 +179,61 @@ func TestClusterMatchesSingleProcess(t *testing.T) {
 	adds := []graph.EdgeTriple{{U: 0, V: graph.ID(base.NumIDs() - 1), W: 1}}
 	dels := [][2]graph.ID{{edges[0].U, edges[0].V}}
 	eager := [][2]graph.ID{{edges[1].U, edges[1].V}}
-	wu, wv, ww := edges[2].U, edges[2].V, edges[2].W+3
-	for _, m := range []struct {
-		name    string
-		cluster func() error
-		oracle  func() error
-	}{
-		{"add", func() error { return coord.ApplyEdgeAdditions(adds) },
-			func() error { return ora.ApplyEdgeAdditions(adds) }},
-		{"del-barrier", func() error { return coord.ApplyEdgeDeletions(dels) },
-			func() error { return ora.ApplyEdgeDeletions(dels) }},
-		{"del-eager", func() error { return coord.ApplyEdgeDeletionsEager(eager) },
-			func() error { return ora.ApplyEdgeDeletionsEager(eager) }},
-		{"set-weight", func() error { return coord.SetEdgeWeight(wu, wv, ww) },
-			func() error { return ora.SetEdgeWeight(wu, wv, ww) }},
+	for _, m := range []core.Mutation{
+		core.EdgeAdd(adds...),
+		core.EdgeDelete(dels...),
+		core.EdgeDeleteEager(eager...),
+		core.WeightSet(edges[2].U, edges[2].V, edges[2].W+3),
 	} {
-		if err := m.cluster(); err != nil {
-			t.Fatalf("cluster %s: %v", m.name, err)
+		if err := coord.ApplyBatch(&core.Batch{Ops: []core.Mutation{m}}); err != nil {
+			t.Fatalf("cluster %s: %v", m.Kind, err)
 		}
-		if err := m.oracle(); err != nil {
-			t.Fatalf("oracle %s: %v", m.name, err)
+		if err := ora.ApplyBatch(&core.Batch{Ops: []core.Mutation{m}}); err != nil {
+			t.Fatalf("oracle %s: %v", m.Kind, err)
+		}
+	}
+
+	// A multi-edge weight set naming one missing edge is rejected intact on
+	// both sides: same failing index, the op before it committed, and the
+	// existing edge of the failing op keeps its weight.
+	missing := [2]graph.ID{1, graph.ID(base.NumIDs() - 2)}
+	if ora.Graph().HasEdge(missing[0], missing[1]) {
+		t.Fatalf("test graph unexpectedly has edge %v", missing)
+	}
+	// A decrease, so applying it alone would need no convergence barrier.
+	keep := edges[3]
+	for _, ed := range edges[3:] {
+		if ed.W > 1 {
+			keep = ed
+			break
+		}
+	}
+	mixed := func() *core.Batch {
+		return &core.Batch{Ops: []core.Mutation{
+			core.EdgeAdd(graph.EdgeTriple{U: 2, V: graph.ID(base.NumIDs() - 3), W: 1}),
+			{Kind: core.MutSetWeight, Edges: []graph.EdgeTriple{
+				{U: keep.U, V: keep.V, W: keep.W - 1},
+				{U: missing[0], V: missing[1], W: 2},
+			}},
+		}}
+	}
+	for _, side := range []struct {
+		name  string
+		apply func(*core.Batch) error
+		g     graph.View
+	}{
+		{"cluster", coord.ApplyBatch, coord.Graph()},
+		{"oracle", ora.ApplyBatch, ora.Graph()},
+	} {
+		var be *core.BatchError
+		if err := side.apply(mixed()); !errors.As(err, &be) || be.Index != 1 {
+			t.Fatalf("%s mixed weight set: %v, want a BatchError at op 1", side.name, err)
+		}
+		if !side.g.HasEdge(2, graph.ID(base.NumIDs()-3)) {
+			t.Fatalf("%s: the op before the failing weight set did not commit", side.name)
+		}
+		if w, _ := side.g.Weight(keep.U, keep.V); w != keep.W {
+			t.Fatalf("%s: failing weight set re-weighted {%d,%d} to %d (was %d)", side.name, keep.U, keep.V, w, keep.W)
 		}
 	}
 	if got, want := coord.Graph().NumEdges(), ora.Graph().NumEdges(); got != want {
@@ -653,28 +688,129 @@ func TestClusterApplyBatch(t *testing.T) {
 	}
 }
 
+// TestWorkerReportsCommittedOps speaks the control protocol to one worker
+// directly and pins what FailedOp means on an mMutate reply: the number of
+// ops that committed. The coordinator mirrors and logs exactly that prefix,
+// so a batch rejected whole by validation (a structurally invalid op no
+// honest coordinator would send) must not report the bad op's index while
+// the ops before it were never applied.
+func TestWorkerReportsCommittedOps(t *testing.T) {
+	base := testGraph(40)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ln := listen(t)
+	defer ln.Close()
+	_, done := startWorker(t, ctx, ln.Addr().String(), "", base)
+
+	deadline := time.Now().Add(30 * time.Second)
+	raw, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := transport.AcceptHello(raw, 0, deadline); err != nil {
+		t.Fatal(err)
+	}
+	cn := newConn(raw, 0)
+	defer cn.Close()
+	var join joinBody
+	if _, err := cn.expect(deadline, &join, mJoin); err != nil {
+		t.Fatal(err)
+	}
+	if err := cn.send(mAssign, assignBody{
+		Workers: []string{join.MeshAddr}, Owner: procOwners(testP, 1), Hi: testP,
+	}, deadline); err != nil {
+		t.Fatal(err)
+	}
+	var res resultBody
+	if _, err := cn.expect(deadline, &res, mReady); err != nil || res.Err != "" {
+		t.Fatalf("ready: %v %q", err, res.Err)
+	}
+
+	// Every batch is {add a fresh edge, bad op}, so each committed op inserts
+	// exactly one edge and the reply's edge count shows what was applied.
+	mirror := base.Clone()
+	nonEdges := func() (a, b graph.EdgeTriple) {
+		var found []graph.EdgeTriple
+		for u := graph.ID(0); len(found) < 2; u++ {
+			for v := u + 1; int(v) < mirror.NumIDs() && len(found) < 2; v++ {
+				if !mirror.HasEdge(u, v) {
+					found = append(found, graph.EdgeTriple{U: u, V: v, W: 1})
+				}
+			}
+		}
+		return found[0], found[1]
+	}
+	for _, tc := range []struct {
+		name      string
+		bad       func(missing graph.EdgeTriple) Op
+		committed int // -1: whole-batch rejection, any honest count accepted
+	}{
+		{"self-loop", func(graph.EdgeTriple) Op {
+			return Op{Kind: core.MutEdgeAdd, Edges: []graph.EdgeTriple{{U: 3, V: 3, W: 1}}}
+		}, -1},
+		{"negative-id", func(graph.EdgeTriple) Op {
+			return Op{Kind: core.MutEdgeDelete, Pairs: [][2]graph.ID{{-1, 2}}}
+		}, -1},
+		{"unknown-kind", func(graph.EdgeTriple) Op { return Op{Kind: 99} }, -1},
+		{"missing-edge", func(missing graph.EdgeTriple) Op {
+			return Op{Kind: core.MutSetWeight, Edges: []graph.EdgeTriple{missing}}
+		}, 1},
+	} {
+		fresh, missing := nonEdges()
+		before := res.M
+		ops := []Op{{Kind: core.MutEdgeAdd, Edges: []graph.EdgeTriple{fresh}}, tc.bad(missing)}
+		if err := cn.send(mMutate, mutateBody{Seq: res.NextSeq, Ops: ops}, deadline); err != nil {
+			t.Fatal(err)
+		}
+		res = resultBody{}
+		if _, err := cn.expect(deadline, &res, mResult); err != nil {
+			t.Fatal(err)
+		}
+		if res.Err == "" {
+			t.Fatalf("%s: bad op accepted", tc.name)
+		}
+		if res.M != before+res.FailedOp {
+			t.Fatalf("%s: reply says %d ops committed, but the graph went from %d to %d edges",
+				tc.name, res.FailedOp, before, res.M)
+		}
+		if tc.committed >= 0 && res.FailedOp != tc.committed {
+			t.Fatalf("%s: FailedOp = %d, want %d", tc.name, res.FailedOp, tc.committed)
+		}
+		if res.FailedOp > 0 {
+			mirror.AddEdge(fresh.U, fresh.V, fresh.W)
+		}
+	}
+
+	if err := cn.send(mShutdown, nil, deadline); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("worker exit: %v", err)
+	}
+}
+
 // TestTransformForReplayMatchesDecomposition pins the replay transform to
 // the engine's shared weight-set decomposition: both paths must produce the
 // same eager-delete + re-add pair, so a rejoined worker's lone replay and a
-// live engine's SetEdgeWeight reach identical graphs.
+// live engine's weight set reach identical graphs.
 func TestTransformForReplayMatchesDecomposition(t *testing.T) {
-	got := transformForReplay(Op{Kind: opSetWeight, U: 3, V: 9, W: 7})
+	got := transformForReplay(Op{Kind: core.MutSetWeight, Edges: []graph.EdgeTriple{{U: 3, V: 9, W: 7}}})
 	dec := core.DecomposeWeightSet(3, 9, 7, true)
 	if len(got) != 2 {
 		t.Fatalf("set-weight transforms to %d ops, want 2", len(got))
 	}
-	if got[0].Kind != opEdgeDelEager || len(got[0].Pairs) != 1 || got[0].Pairs[0] != dec[0].Pairs[0] {
+	if got[0].Kind != core.MutEdgeDeleteEager || len(got[0].Pairs) != 1 || got[0].Pairs[0] != dec[0].Pairs[0] {
 		t.Fatalf("replay delete %+v does not match decomposition %+v", got[0], dec[0])
 	}
 	if dec[0].Kind != core.MutEdgeDeleteEager {
 		t.Fatalf("eager decomposition produced %v delete", dec[0].Kind)
 	}
-	if got[1].Kind != opEdgeAdd || len(got[1].Edges) != 1 || got[1].Edges[0] != dec[1].Edges[0] {
+	if got[1].Kind != core.MutEdgeAdd || len(got[1].Edges) != 1 || got[1].Edges[0] != dec[1].Edges[0] {
 		t.Fatalf("replay add %+v does not match decomposition %+v", got[1], dec[1])
 	}
 	// Barrier deletions also flatten to eager for lone replay.
-	del := transformForReplay(Op{Kind: opEdgeDel, Pairs: [][2]graph.ID{{1, 2}}})
-	if len(del) != 1 || del[0].Kind != opEdgeDelEager {
+	del := transformForReplay(Op{Kind: core.MutEdgeDelete, Pairs: [][2]graph.ID{{1, 2}}})
+	if len(del) != 1 || del[0].Kind != core.MutEdgeDeleteEager {
 		t.Fatalf("barrier delete transform = %+v, want one eager delete", del)
 	}
 }

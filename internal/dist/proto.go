@@ -109,8 +109,10 @@ type resyncBody struct{ Seq uint32 }
 // (NextSeq, Step, N, M, Converged must agree across workers).
 type resultBody struct {
 	Err string `json:",omitempty"`
-	// FailedOp indexes the mutate batch op that produced Err (meaningful
-	// only when Err is set on an mMutate reply); ops before it committed.
+	// FailedOp counts the mutate batch ops that committed before Err
+	// (meaningful only when Err is set on an mMutate reply): the index of
+	// the op that failed while applying, or 0 when the batch was rejected
+	// whole by validation and nothing was applied.
 	FailedOp     int `json:",omitempty"`
 	NextSeq      uint32
 	Step         int
@@ -121,12 +123,12 @@ type resultBody struct {
 	MessagesSent int           `json:",omitempty"`
 	Stats        cluster.Stats `json:",omitempty"`
 	// Metrics is the worker's compact metric snapshot, piggybacked on every
-	// ready/result reply (protocol v3). The coordinator re-exports it as
+	// ready/result reply. The coordinator re-exports it as
 	// per-worker-labeled aacc_cluster_worker_* families, so one scrape of
 	// the coordinator covers the whole deployment.
 	Metrics *wireMetrics `json:",omitempty"`
-	// Spans are the worker-side spans of this command (protocol v3),
-	// relayed into the coordinator's trace keyed by the command seq.
+	// Spans are the worker-side spans of this command, relayed into the
+	// coordinator's trace keyed by the command seq.
 	Spans []wireSpan `json:",omitempty"`
 }
 
@@ -165,68 +167,65 @@ type decisionBody struct {
 	Reason string `json:",omitempty"`
 }
 
-// Mutation op kinds carried by mutateBody and the replay log.
-const (
-	opEdgeAdd      = "edge-add"
-	opEdgeDel      = "edge-del"
-	opEdgeDelEager = "edge-del-eager"
-	opSetWeight    = "set-weight"
-)
-
-// Op is one logged graph mutation, the coordinator's unit of replay.
+// Op is the wire image of one core.Mutation — the unit of a mutate command
+// and of the coordinator's replay log. Only the edge kinds travel: vertex and
+// repartition mutations have no cluster implementation (the resident
+// processor ranges are fixed at formation).
 type Op struct {
-	Kind  string
+	Kind  core.MutationKind
 	Edges []graph.EdgeTriple `json:",omitempty"`
 	Pairs [][2]graph.ID      `json:",omitempty"`
-	U, V  graph.ID           `json:",omitempty"`
-	W     int32              `json:",omitempty"`
+}
+
+// opFromMutation lowers one typed core mutation to its wire op, copying the
+// payload (the op outlives the call in the replay log).
+func opFromMutation(m *core.Mutation) (Op, error) {
+	switch m.Kind {
+	case core.MutNone, core.MutEdgeAdd, core.MutEdgeDelete, core.MutEdgeDeleteEager, core.MutSetWeight:
+		return Op{
+			Kind:  m.Kind,
+			Edges: append([]graph.EdgeTriple(nil), m.Edges...),
+			Pairs: append([][2]graph.ID(nil), m.Pairs...),
+		}, nil
+	}
+	return Op{}, fmt.Errorf("dist: %s mutations are not supported in a multi-process cluster", m.Kind)
+}
+
+// batchOf lifts decoded wire ops back to the typed batch a worker's engine
+// applies. Anything a hostile peer could put in an op is rejected by the
+// engine's own validation.
+func batchOf(ops []Op) *core.Batch {
+	b := &core.Batch{Ops: make([]core.Mutation, len(ops))}
+	for i, op := range ops {
+		b.Ops[i] = core.Mutation{Kind: op.Kind, Edges: op.Edges, Pairs: op.Pairs}
+	}
+	return b
 }
 
 // transformForReplay rewrites an op so a lone rejoining worker can apply it
 // without cluster collectives: barrier-mode deletions become eager deletions
 // (the barrier's internal convergence would need exchange rounds nobody else
-// is running), and weight changes become eager-delete + re-add through the
-// same core.DecomposeWeightSet helper that backs the engine's own
-// SetEdgeWeight increase path — one decomposition, two call sites. Both
-// rewrites reach the same final graph, and the eager invalidation keeps
-// every distance a sound upper bound — the resync after rejoin re-converges
-// the rows exactly.
+// is running), and each weight change becomes eager-delete + re-add through
+// the same core.DecomposeWeightSet helper that backs the engine's own
+// weight-increase path — one decomposition, two call sites. Both rewrites
+// reach the same final graph, and the eager invalidation keeps every distance
+// a sound upper bound — the resync after rejoin re-converges the rows
+// exactly.
 func transformForReplay(op Op) []Op {
 	switch op.Kind {
-	case opEdgeDel:
-		return []Op{{Kind: opEdgeDelEager, Pairs: op.Pairs}}
-	case opSetWeight:
-		dec := core.DecomposeWeightSet(op.U, op.V, op.W, true)
-		return []Op{
-			{Kind: opEdgeDelEager, Pairs: dec[0].Pairs},
-			{Kind: opEdgeAdd, Edges: dec[1].Edges},
+	case core.MutEdgeDelete:
+		return []Op{{Kind: core.MutEdgeDeleteEager, Pairs: op.Pairs}}
+	case core.MutSetWeight:
+		out := make([]Op, 0, 2*len(op.Edges))
+		for _, ed := range op.Edges {
+			dec := core.DecomposeWeightSet(ed.U, ed.V, ed.W, true)
+			out = append(out,
+				Op{Kind: dec[0].Kind, Pairs: dec[0].Pairs},
+				Op{Kind: dec[1].Kind, Edges: dec[1].Edges})
 		}
+		return out
 	default:
 		return []Op{op}
-	}
-}
-
-// opsFromMutation lowers one typed core mutation to its wire ops. Edge-set
-// mutations map one-to-one; a multi-edge weight set becomes one wire op per
-// edge (the wire format predates multi-edge weight sets). Vertex and
-// repartition mutations have no cluster implementation — the resident
-// processor ranges are fixed at formation — and report as such.
-func opsFromMutation(m *core.Mutation) ([]Op, error) {
-	switch m.Kind {
-	case core.MutEdgeAdd:
-		return []Op{{Kind: opEdgeAdd, Edges: append([]graph.EdgeTriple(nil), m.Edges...)}}, nil
-	case core.MutEdgeDelete:
-		return []Op{{Kind: opEdgeDel, Pairs: append([][2]graph.ID(nil), m.Pairs...)}}, nil
-	case core.MutEdgeDeleteEager:
-		return []Op{{Kind: opEdgeDelEager, Pairs: append([][2]graph.ID(nil), m.Pairs...)}}, nil
-	case core.MutSetWeight:
-		ops := make([]Op, len(m.Edges))
-		for i, ed := range m.Edges {
-			ops[i] = Op{Kind: opSetWeight, U: ed.U, V: ed.V, W: ed.W}
-		}
-		return ops, nil
-	default:
-		return nil, fmt.Errorf("dist: %s mutations are not supported in a multi-process cluster", m.Kind)
 	}
 }
 

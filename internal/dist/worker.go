@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net"
@@ -178,11 +179,8 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	// alone, so the ops were transformed to need no cluster collectives.
 	rrt.SetDetached(true)
 	var replayErr error
-	for i, op := range assign.Replay {
-		if err := applyOp(eng, op); err != nil {
-			replayErr = fmt.Errorf("replaying op %d (%s): %w", i, op.Kind, err)
-			break
-		}
+	if n, err := applyOps(eng, assign.Replay); err != nil {
+		replayErr = fmt.Errorf("replaying the mutation log (%d of %d ops applied): %w", n, len(assign.Replay), err)
 	}
 	rrt.SetDetached(false)
 	rrt.SetBaseSeq(assign.BaseSeq)
@@ -324,20 +322,11 @@ func serve(ctx context.Context, cfg WorkerConfig, cn *conn, eng *core.Engine, rr
 			rrt.SetBaseSeq(cmd.Seq)
 			eng.SetSpanKey(uint64(cmd.Seq))
 			begin := time.Now()
-			// Committed-prefix batch: stop at the first failing op and
-			// report its index; everything before it stays applied.
-			var opErr error
-			failed := 0
-			for i, op := range cmd.Ops {
-				if opErr = applyOp(eng, op); opErr != nil {
-					failed = i
-					break
-				}
-			}
+			committed, opErr := applyOps(eng, cmd.Ops)
 			res := result(eng, rrt, wt, opErr)
 			res.Spans = wt.commandSpan("worker.mutate", cmd.Seq, begin, opErr)
 			if opErr != nil {
-				res.FailedOp = failed
+				res.FailedOp = committed
 			}
 			if err := cn.send(mResult, res, sendDL(cfg)); err != nil {
 				return err
@@ -409,20 +398,23 @@ func reportReady(cn *conn, eng *core.Engine, rrt *runtime.Remote, wt *workerTele
 	return nil
 }
 
-// applyOp dispatches one control-protocol mutation to the engine.
-func applyOp(eng *core.Engine, op Op) error {
-	switch op.Kind {
-	case opEdgeAdd:
-		return eng.ApplyEdgeAdditions(op.Edges)
-	case opEdgeDel:
-		return eng.ApplyEdgeDeletions(op.Pairs)
-	case opEdgeDelEager:
-		return eng.ApplyEdgeDeletionsEager(op.Pairs)
-	case opSetWeight:
-		return eng.SetEdgeWeight(op.U, op.V, op.W)
-	default:
-		return fmt.Errorf("unknown op kind %q", op.Kind)
+// applyOps applies decoded wire ops through the engine's one mutation entry
+// point and reports how many committed. The batch is validated here first so
+// the two failure shapes stay distinguishable on the wire: a structurally
+// invalid op rejects the whole batch with nothing applied (0 committed),
+// while an op that fails while applying leaves exactly the ops before it
+// committed.
+func applyOps(eng *core.Engine, ops []Op) (int, error) {
+	b := batchOf(ops)
+	if err := b.Validate(); err != nil {
+		return 0, err
 	}
+	err := eng.ApplyBatch(b)
+	var be *core.BatchError
+	if errors.As(err, &be) {
+		return be.Index, be.Err
+	}
+	return len(ops), err
 }
 
 // dialCoordinator dials the control connection, retrying until DialTimeout:

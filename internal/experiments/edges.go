@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"aacc/internal/core"
 	"aacc/internal/graph"
 	"aacc/internal/metrics"
 	"aacc/internal/workload"
@@ -30,7 +31,7 @@ func EA1(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		runSteps(e, step)
-		if err := e.ApplyEdgeAdditions(adds); err != nil {
+		if _, err := apply(e, core.EdgeAdd(adds...)); err != nil {
 			return nil, err
 		}
 		if _, err := e.Run(); err != nil {
@@ -89,7 +90,7 @@ func ED1(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		runSteps(e, step)
-		if err := e.ApplyEdgeDeletions(dels); err != nil {
+		if _, err := apply(e, core.EdgeDelete(dels...)); err != nil {
 			return nil, err
 		}
 		if _, err := e.Run(); err != nil {
@@ -151,7 +152,7 @@ func ED2(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		before := e.Stats().SimTotal()
-		if err := e.ApplyEdgeDeletions(dels); err != nil {
+		if _, err := apply(e, core.EdgeDelete(dels...)); err != nil {
 			return nil, err
 		}
 		if _, err := e.Run(); err != nil {

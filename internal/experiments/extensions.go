@@ -85,9 +85,9 @@ func Ext2(cfg Config) (*Result, error) {
 			}
 			before := e.Stats().SimTotal()
 			if eager {
-				err = e.ApplyEdgeDeletionsEager(dels)
+				_, err = apply(e, core.EdgeDeleteEager(dels...))
 			} else {
-				err = e.ApplyEdgeDeletions(dels)
+				_, err = apply(e, core.EdgeDelete(dels...))
 			}
 			if err != nil {
 				return 0, err
@@ -151,7 +151,7 @@ func Ext3(cfg Config) (*Result, error) {
 				return nil, err
 			}
 			if scenario == "vertex-burst" {
-				if _, err := e.ApplyVertexAdditions(cloneBatch(add.Batch), &core.RoundRobinPS{}); err != nil {
+				if _, err := apply(e, core.VertexAdd(add.Batch.Clone(), &core.RoundRobinPS{})); err != nil {
 					return nil, err
 				}
 			}

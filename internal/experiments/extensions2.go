@@ -109,7 +109,7 @@ func Ext5(cfg Config) (*Result, error) {
 		}
 		// Rewire the batch's attachments onto the family graph (the IDs are
 		// valid for any base of at least that size).
-		batch := cloneBatch(add.Batch)
+		batch := add.Batch.Clone()
 		for i := range batch.External {
 			if int(batch.External[i].To) >= base.NumIDs() || !base.Has(batch.External[i].To) {
 				batch.External[i].To = base.Vertices()[0]
@@ -121,7 +121,7 @@ func Ext5(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		runSteps(e, 4)
-		if _, err := e.ApplyVertexAdditions(cloneBatch(batch), &core.RoundRobinPS{}); err != nil {
+		if _, err := apply(e, core.VertexAdd(batch.Clone(), &core.RoundRobinPS{})); err != nil {
 			return nil, err
 		}
 		if _, err := e.Run(); err != nil {

@@ -47,7 +47,7 @@ func Fig4(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		runSteps(e, step)
-		if _, err := e.ApplyVertexAdditions(cloneBatch(add.Batch), &core.RoundRobinPS{}); err != nil {
+		if _, err := apply(e, core.VertexAdd(add.Batch.Clone(), &core.RoundRobinPS{})); err != nil {
 			return nil, err
 		}
 		if _, err := e.Run(); err != nil {
@@ -95,11 +95,11 @@ func strategyRun(cfg Config, add *workload.Addition, strategy string, injectAt i
 	cutBefore := e.Assignment().CutEdges(e.Graph())
 	switch strategy {
 	case "RoundRobin-PS":
-		_, err = e.ApplyVertexAdditions(cloneBatch(add.Batch), &core.RoundRobinPS{})
+		_, err = apply(e, core.VertexAdd(add.Batch.Clone(), &core.RoundRobinPS{}))
 	case "CutEdge-PS":
-		_, err = e.ApplyVertexAdditions(cloneBatch(add.Batch), &core.CutEdgePS{Seed: cfg.Seed})
+		_, err = apply(e, core.VertexAdd(add.Batch.Clone(), &core.CutEdgePS{Seed: cfg.Seed}))
 	case "Repartition-S":
-		_, err = e.Repartition(cloneBatch(add.Batch))
+		_, err = apply(e, core.RepartitionOp(add.Batch.Clone()))
 	default:
 		return 0, 0, fmt.Errorf("unknown strategy %q", strategy)
 	}
@@ -245,23 +245,23 @@ func incrementalRun(cfg Config, add *workload.Addition, method string, steps int
 				return 0, err
 			}
 		case "Repartition-S":
-			rres, err := e.Repartition(chunk)
+			m, err := apply(e, core.RepartitionOp(chunk))
 			if err != nil {
 				return 0, err
 			}
-			inc.NoteIDs(rres.NewIDs)
+			inc.NoteIDs(m.Repart.NewIDs)
 		case "RoundRobin-PS":
-			ids, err := e.ApplyVertexAdditions(chunk, rr)
+			m, err := apply(e, core.VertexAdd(chunk, rr))
 			if err != nil {
 				return 0, err
 			}
-			inc.NoteIDs(ids)
+			inc.NoteIDs(m.AssignedIDs)
 		case "CutEdge-PS":
-			ids, err := e.ApplyVertexAdditions(chunk, &core.CutEdgePS{Seed: cfg.Seed})
+			m, err := apply(e, core.VertexAdd(chunk, &core.CutEdgePS{Seed: cfg.Seed}))
 			if err != nil {
 				return 0, err
 			}
-			inc.NoteIDs(ids)
+			inc.NoteIDs(m.AssignedIDs)
 		default:
 			return 0, fmt.Errorf("unknown method %q", method)
 		}
@@ -272,11 +272,10 @@ func incrementalRun(cfg Config, add *workload.Addition, method string, steps int
 	return simSeconds(e.Stats().SimTotal()), nil
 }
 
-// cloneBatch deep-copies a batch so repeated runs never share slices.
-func cloneBatch(b *core.VertexBatch) *core.VertexBatch {
-	return &core.VertexBatch{
-		Count:    b.Count,
-		Internal: append([]core.BatchEdge(nil), b.Internal...),
-		External: append([]core.AttachEdge(nil), b.External...),
-	}
+// apply runs one mutation through the engine's single entry point and
+// returns it with its result fields (AssignedIDs, Repart) filled in.
+func apply(e *core.Engine, m core.Mutation) (core.Mutation, error) {
+	b := &core.Batch{Ops: []core.Mutation{m}}
+	err := e.ApplyBatch(b)
+	return b.Ops[0], err
 }

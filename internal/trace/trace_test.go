@@ -23,7 +23,8 @@ func runTraced(t *testing.T, tr core.Tracer) {
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.ApplyEdgeAdditions([]graph.EdgeTriple{{U: 0, V: 70, W: 1}}); err != nil {
+	add := core.EdgeAdd(graph.EdgeTriple{U: 0, V: 70, W: 1})
+	if err := e.ApplyBatch(&core.Batch{Ops: []core.Mutation{add}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Run(); err != nil {
@@ -190,17 +191,13 @@ func TestTracerSeesAllDynamicKinds(t *testing.T) {
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.ApplyEdgeAdditions([]graph.EdgeTriple{{U: 0, V: 60, W: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.ApplyEdgeDeletions([][2]graph.ID{{0, 60}}); err != nil {
-		t.Fatal(err)
-	}
 	batch := &core.VertexBatch{Count: 1, External: []core.AttachEdge{{New: 0, To: 4, W: 1}}}
-	if _, err := e.ApplyVertexAdditions(batch, &core.RoundRobinPS{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Repartition(nil); err != nil {
+	if err := e.ApplyBatch(&core.Batch{Ops: []core.Mutation{
+		core.EdgeAdd(graph.EdgeTriple{U: 0, V: 60, W: 1}),
+		core.EdgeDelete([2]graph.ID{0, 60}),
+		core.VertexAdd(batch, &core.RoundRobinPS{}),
+		core.RepartitionOp(nil),
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.FailProcessor(1); err != nil {

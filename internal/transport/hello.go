@@ -27,8 +27,10 @@ const (
 	// those change incompatibly. v2: mMutate carries a batch of ops
 	// (mutateBody.Ops) instead of a single op, and mResult gained FailedOp.
 	// v3: ready/result replies piggyback federated worker metric snapshots
-	// and per-command spans (resultBody.Metrics/Spans).
-	ProtocolVersion = 3
+	// and per-command spans (resultBody.Metrics/Spans). v4: a wire op is
+	// the image of one core.Mutation (numeric kind; a weight set carries its
+	// edges, so a multi-edge set stays one atomic op).
+	ProtocolVersion = 4
 )
 
 // Hello ack statuses.

@@ -181,12 +181,12 @@ func (inc *Incremental) NoteIDs(ids []graph.ID) {
 	inc.next += len(ids)
 }
 
-// Target is the vertex-addition surface an incremental schedule drives.
-// Both *core.Engine (direct application between steps) and an
-// anytime.Session (application through the serialized mutation queue at the
-// next step boundary) implement it.
+// Target is the mutation surface an incremental schedule drives. Both
+// *core.Engine (direct application between steps) and an anytime.Session
+// (application through the serialized mutation queue at the next step
+// boundary) implement it.
 type Target interface {
-	ApplyVertexAdditions(batch *core.VertexBatch, ps core.ProcessorAssigner) ([]graph.ID, error)
+	ApplyBatch(b *core.Batch) error
 }
 
 // Inject applies the next chunk to t and records the assigned IDs, returning
@@ -196,10 +196,11 @@ func (inc *Incremental) Inject(t Target, ps core.ProcessorAssigner) (int, error)
 	if chunk == nil {
 		return 0, nil
 	}
-	ids, err := t.ApplyVertexAdditions(chunk, ps)
-	if err != nil {
+	b := &core.Batch{Ops: []core.Mutation{core.VertexAdd(chunk, ps)}}
+	if err := t.ApplyBatch(b); err != nil {
 		return 0, err
 	}
+	ids := b.Ops[0].AssignedIDs
 	inc.NoteIDs(ids)
 	return len(ids), nil
 }
