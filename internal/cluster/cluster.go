@@ -167,22 +167,28 @@ func (c *Cluster) Close() error { return nil }
 // parallel time of the section is the maximum per-processor duration, which
 // is what a real P-processor machine would take; this is how a single-core
 // host still produces 16-processor-shaped results.
-func (c *Cluster) Parallel(fn func(proc int)) {
-	durs := make([]time.Duration, c.p)
+func (c *Cluster) Parallel(fn func(proc int)) { c.ParallelRange(0, c.p, fn) }
+
+// ParallelRange is Parallel restricted to processors [lo,hi): the compute
+// phase of a runtime that hosts only that slice in this process (the other
+// processes run their own ranges concurrently).
+func (c *Cluster) ParallelRange(lo, hi int, fn func(proc int)) {
+	n := hi - lo
+	durs := make([]time.Duration, n)
 	var wg sync.WaitGroup
-	work := make(chan int, c.p)
-	for i := 0; i < c.p; i++ {
+	work := make(chan int, n)
+	for i := lo; i < hi; i++ {
 		work <- i
 	}
 	close(work)
-	for w := 0; w < c.pool; w++ {
+	for w := 0; w < c.pool && w < n; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for proc := range work {
 				start := time.Now()
 				fn(proc)
-				durs[proc] = time.Since(start)
+				durs[proc-lo] = time.Since(start)
 			}
 		}()
 	}
@@ -193,13 +199,7 @@ func (c *Cluster) Parallel(fn func(proc int)) {
 			max = d
 		}
 	}
-	c.mu.Lock()
-	c.stats.SimCompute += max
-	om := c.om
-	c.mu.Unlock()
-	if om != nil {
-		om.compute.Add(max.Seconds())
-	}
+	c.AccountCompute(max)
 }
 
 // Exchange performs the personalised all-to-all of the recombination phase:

@@ -99,17 +99,10 @@ func LoadCheckpoint(r io.Reader, opts Options) (*Engine, error) {
 	if opts.MaxSteps == 0 {
 		opts.MaxSteps = pl.MaxSteps
 	}
-	opts = opts.withDefaults()
-	rt, err := opts.newRuntime()
+	e, err := newEngine(g, opts)
 	if err != nil {
-		return nil, fmt.Errorf("core: building runtime: %w", err)
+		return nil, err
 	}
-	e := &Engine{
-		g:    g,
-		opts: opts,
-		rt:   rt,
-	}
-	e.installStrategies()
 	e.width = pl.NumIDs
 	e.maskCache = make([]uint64, e.width)
 	e.maskValid = make([]bool, e.width)
@@ -118,7 +111,7 @@ func LoadCheckpoint(r io.Reader, opts Options) (*Engine, error) {
 	}
 	e.owner = pl.Owner
 	e.step = pl.Step
-	e.procs = make([]*proc, opts.P)
+	e.procs = make([]*proc, pl.P)
 	for p := range e.procs {
 		e.procs[p] = newProc(p, e.width)
 	}
@@ -126,7 +119,7 @@ func LoadCheckpoint(r io.Reader, opts Options) (*Engine, error) {
 		return nil, fmt.Errorf("core: checkpoint rows malformed")
 	}
 	for i, v := range pl.RowIDs {
-		if int(v) >= pl.NumIDs || e.owner[v] < 0 || int(e.owner[v]) >= opts.P {
+		if int(v) >= pl.NumIDs || e.owner[v] < 0 || int(e.owner[v]) >= pl.P {
 			return nil, fmt.Errorf("core: checkpoint row %d has invalid owner", v)
 		}
 		if len(pl.Rows[i]) != pl.NumIDs {

@@ -3,11 +3,13 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"aacc/internal/gen"
 	"aacc/internal/graph"
+	"aacc/internal/obs"
 )
 
 func TestCheckpointRoundTripConverged(t *testing.T) {
@@ -33,6 +35,51 @@ func TestCheckpointRoundTripConverged(t *testing.T) {
 			t.Fatalf("owner of %d changed: %d -> %d", v, e.Owner(v), r.Owner(v))
 		}
 	}
+}
+
+// TestCheckpointRestoreHonoursOptions pins that a restored engine is built by
+// the same constructor as a fresh one: the worker pool and the metrics
+// registry passed to LoadCheckpoint take effect.
+func TestCheckpointRestoreHonoursOptions(t *testing.T) {
+	e := mustEngine(t, gen.BarabasiAlbert(150, 2, 71, gen.Config{MaxWeight: 3}), 8)
+	e.Step()
+	var buf bytes.Buffer
+	if err := e.WriteCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	r, err := LoadCheckpoint(&buf, Options{Workers: 3, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Workers() != 3 {
+		t.Fatalf("restored Workers() = %d, want 3", r.Workers())
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, fam := range []string{"aacc_engine_workers 3", "aacc_engine_phase_seconds_bucket", "aacc_engine_steps_total", "aacc_transport_bytes_total"} {
+		if !strings.Contains(sb.String(), fam) {
+			t.Errorf("restored engine's exposition is missing %q", fam)
+		}
+	}
+	if _, err := r.Step(); err != nil {
+		t.Fatal(err)
+	}
+	for _, phase := range []string{"collect", "exchange", "install_relax", "strategies"} {
+		if got := reg.Histogram("aacc_engine_phase_seconds", "", nil, obs.L("phase", phase)).Count(); got != 1 {
+			t.Errorf("phase %q observed %d durations after one step, want 1", phase, got)
+		}
+	}
+	if got := reg.Counter("aacc_engine_steps_total", "").Value(); got != 1 {
+		t.Errorf("steps_total = %v after one step, want 1", got)
+	}
+	if reg.Counter("aacc_transport_bytes_total", "").Value() == 0 {
+		t.Error("runtime traffic counters not wired on the restored engine")
+	}
+	mustRun(t, r)
+	checkExact(t, r)
 }
 
 func TestCheckpointMidAnalysisPreservesPartialResults(t *testing.T) {

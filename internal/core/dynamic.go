@@ -8,7 +8,6 @@ import (
 	"aacc/internal/dv"
 	"aacc/internal/graph"
 	"aacc/internal/runtime"
-	"aacc/internal/sssp"
 )
 
 // This file implements the "anywhere" half of the engine: dynamic graph
@@ -86,12 +85,7 @@ func (e *Engine) applyEdgeAdditions(edges []graph.EdgeTriple) error {
 // broadcast, as in Fig. 3 line 22).
 func (e *Engine) relaxEdgeBatch(edges []graph.EdgeTriple, endRows map[graph.ID][]int32) {
 	e.rt.Parallel(func(p int) {
-		pr := e.procs[p]
-		if e.workers > 1 {
-			pr.relaxThroughEdgesShards(e, edges, endRows)
-			return
-		}
-		pr.relaxThroughEdges(e, edges, endRows)
+		e.procs[p].relaxThroughEdges(e, edges, endRows)
 	})
 }
 
@@ -156,26 +150,9 @@ func (e *Engine) broadcastRows(ids []graph.ID) (map[graph.ID][]int32, error) {
 // name no live edge between live vertices are skipped (deletes are
 // idempotent).
 func (e *Engine) applyEdgeDeletions(pairs [][2]graph.ID) error {
-	if err := e.validateDeletionBatch(pairs); err != nil {
+	batch, err := e.deletionBatch(pairs)
+	if err != nil || len(batch) == 0 {
 		return err
-	}
-	var batch []graph.EdgeTriple
-	seen := make(map[[2]graph.ID]bool, len(pairs))
-	for _, p := range pairs {
-		u, v := p[0], p[1]
-		if u > v {
-			u, v = v, u
-		}
-		if seen[[2]graph.ID{u, v}] {
-			continue
-		}
-		seen[[2]graph.ID{u, v}] = true
-		if w, ok := e.g.Weight(u, v); ok {
-			batch = append(batch, graph.EdgeTriple{U: u, V: v, W: w})
-		}
-	}
-	if len(batch) == 0 {
-		return nil
 	}
 	if !e.conv {
 		if _, err := e.Run(); err != nil {
@@ -192,74 +169,95 @@ func (e *Engine) applyEdgeDeletions(pairs [][2]graph.ID) error {
 		e.invalidateMask(ed.U)
 		e.invalidateMask(ed.V)
 	}
-	e.invalidateAndReseed(batch, endRows)
+	e.invalidateAndReseed(func(pr *proc) (hit, holes []graph.ID) {
+		return pr.invalidateThroughEdges(e, batch, endRows)
+	})
 	e.trace("edge-delete", "%d edges removed (barrier mode)", len(batch))
 	e.conv = false
 	return nil
 }
 
-// invalidateAndReseed sweeps every stored row (local rows and external
-// snapshots) on every processor with the deletion invalidation test for the
-// whole batch, then re-derives invalidated local rows: a fresh local
-// Dijkstra is merged in (reusing every surviving partial result) and the row
-// is relaxed through *all* stored rows — not just recently-changed ones —
-// because invalidation destroys the incremental-propagation invariant that a
-// row has already seen every source it depends on. Owners of snapshots that
-// lost entries are marked to re-send, refreshing the holes.
+// invalidateThroughEdges is the barrier-mode invalidation: it sweeps every
+// stored row (local rows and external snapshots) with the deletion
+// invalidation test for the whole batch and returns the local rows and the
+// snapshots that lost entries.
 //
 // Each row is tested against a pristine pre-sweep copy of itself: the test
 // for one deleted edge must not observe the invalidations of another, or
-// prefix-witness columns disappear and supported entries slip through.
-func (e *Engine) invalidateAndReseed(batch []graph.EdgeTriple, endRows map[graph.ID][]int32) {
-	refresh := make([]map[graph.ID]bool, e.opts.P)
+// prefix-witness columns disappear and supported entries slip through. Every
+// worker sweeps against its own pristine copy in ws.scratch; hits are
+// harvested in shard order (= ascending row order).
+func (pr *proc) invalidateThroughEdges(e *Engine, batch []graph.EdgeTriple, endRows map[graph.ID][]int32) (hit, holes []graph.ID) {
+	sweep := func(ws *workerScratch, row []int32, self graph.ID) int {
+		copy(ws.scratch, row)
+		n := 0
+		for _, ed := range batch {
+			n += invalidateThroughEdge(ws.scratch, row, self, ed.U, ed.V, ed.W, endRows[ed.U], endRows[ed.V])
+		}
+		return n
+	}
+	e.runShards(len(pr.local), e.shardImbReseed(), func(w, lo, hi int) {
+		ws := &pr.ws[w]
+		for _, x := range pr.local[lo:hi] {
+			if sweep(ws, pr.store.Row(x), x) > 0 {
+				ws.rows = append(ws.rows, x)
+			}
+		}
+	})
+	hit = pr.takeRows()
+	// External snapshots: copy-on-write sequentially (map writes, row pool)
+	// before the sweep may punch holes — the backing array is shared with
+	// other processors — then shard the sweeps over the frozen id list.
+	swept := pr.idBuf[:0]
+	for _, s := range sortedExtIDs(pr.ext) {
+		row := pr.ext[s]
+		if len(row) < e.width {
+			continue // stale narrow snapshot; owner will refresh
+		}
+		if pr.extShared.Has(s) {
+			pr.ext[s] = pr.newRowCopy(row)
+			pr.extShared.Clear(s)
+		}
+		swept = append(swept, s)
+	}
+	pr.idBuf = swept
+	e.runShards(len(swept), nil, func(w, lo, hi int) {
+		ws := &pr.ws[w]
+		for _, s := range swept[lo:hi] {
+			if sweep(ws, pr.ext[s], s) > 0 {
+				ws.rows = append(ws.rows, s)
+			}
+		}
+	})
+	return hit, pr.takeRows()
+}
+
+// invalidateAndReseed is the body the two deletion modes share. On every
+// resident processor, invalidate removes the entries the deleted edges may
+// support — every stored row before any re-derivation, so no relaxation can
+// re-poison entries from a not-yet-swept row — and returns the local rows it
+// hit (ascending) and the external snapshots it punched holes in or dropped.
+// Hit rows are then re-derived: a fresh local Dijkstra is merged in (reusing
+// every surviving partial result; disjoint rows, sharded over the pool) and
+// the row is relaxed through *all* stored rows — not just recently-changed
+// ones — because invalidation destroys the incremental-propagation invariant
+// that a row has already seen every source it depends on. That relax reads
+// live local rows, so it runs sequentially. Snapshots with holes are stale
+// until their owner re-sends, so a full refresh of the owner's intact row is
+// queued for the next exchange.
+func (e *Engine) invalidateAndReseed(invalidate func(pr *proc) (hit, holes []graph.ID)) {
+	refresh := make([][]graph.ID, e.opts.P)
 	e.rt.Parallel(func(p int) {
 		pr := e.procs[p]
-		pr.ensureScratch(e.width)
-		if e.workers > 1 {
-			refresh[p] = pr.invalidateAndReseedShards(e, batch, endRows)
-			return
-		}
-		pristine := make([]int32, e.width)
-		sweep := func(row []int32, self graph.ID) int {
-			copy(pristine, row)
-			n := 0
-			for _, ed := range batch {
-				n += invalidateThroughEdge(pristine, row, self, ed.U, ed.V, ed.W, endRows[ed.U], endRows[ed.V])
-			}
-			return n
-		}
-		// Phase 1: invalidate every stored row before any re-derivation,
-		// so no relaxation can re-poison entries from a not-yet-swept row.
+		pr.ensureWorkers(e)
 		var hit []graph.ID
-		for _, x := range pr.local {
-			if sweep(pr.store.Row(x), x) > 0 {
-				hit = append(hit, x)
-				pr.noteRowFull(x)
-			}
-		}
-		holes := make(map[graph.ID]bool)
-		for s, row := range pr.ext {
-			if len(row) < e.width {
-				continue // stale narrow snapshot; owner will refresh
-			}
-			if pr.extShared.Has(s) {
-				// Copy-on-write before the sweep may punch holes: the
-				// backing array is shared with other processors.
-				row = pr.newRowCopy(row)
-				pr.ext[s] = row
-				pr.extShared.Clear(s)
-			}
-			if sweep(row, s) > 0 {
-				holes[s] = true
-			}
-		}
-		refresh[p] = holes
+		hit, refresh[p] = invalidate(pr)
 		if len(hit) == 0 {
 			return
 		}
-		// Phase 2: reseed and fully relax the invalidated local rows
-		// through every held source (invalidation destroyed the
-		// incremental invariant that they have seen all sources).
+		for _, x := range hit {
+			pr.noteRowFull(x)
+		}
 		sources := make([]relaxSource, 0, len(pr.ext)+len(pr.local))
 		for _, s := range sortedExtIDs(pr.ext) {
 			sources = append(sources, relaxSource{id: s, row: pr.ext[s]})
@@ -267,17 +265,17 @@ func (e *Engine) invalidateAndReseed(batch []graph.EdgeTriple, endRows map[graph
 		for _, s := range pr.local {
 			sources = append(sources, relaxSource{id: s, row: pr.store.Row(s)})
 		}
+		e.runShards(len(hit), e.shardImbReseed(), func(w, lo, hi int) {
+			for _, x := range hit[lo:hi] {
+				pr.reseed(e, &pr.ws[w], x)
+			}
+		})
 		for _, x := range hit {
-			row := pr.store.Row(x)
-			sssp.DijkstraLocal(e.g, x, pr.isLocal, pr.scratch, pr.heap)
-			mergeMin(row, pr.scratch)
 			pr.relaxRowSources(x, sources)
 		}
 	})
-	// Snapshots with holes are stale until their owner re-sends; queue a
-	// full refresh of the owner's intact row for the next exchange.
 	for _, holes := range refresh {
-		for s := range holes {
+		for _, s := range holes {
 			if o := e.Owner(s); o >= 0 {
 				e.procs[o].noteRowFull(s)
 			}
@@ -307,8 +305,75 @@ func sortedExtIDs(ext map[graph.ID][]int32) []graph.ID {
 // Like applyEdgeDeletions, the whole batch is validated before anything
 // mutates; pairs naming no live edge are skipped.
 func (e *Engine) applyEdgeDeletionsEager(pairs [][2]graph.ID) error {
-	if err := e.validateDeletionBatch(pairs); err != nil {
+	batch, err := e.deletionBatch(pairs)
+	if err != nil || len(batch) == 0 {
 		return err
+	}
+	for _, ed := range batch {
+		e.g.RemoveEdge(ed.U, ed.V)
+		e.invalidateMask(ed.U)
+		e.invalidateMask(ed.V)
+	}
+	e.invalidateAndReseed(func(pr *proc) (hit, holes []graph.ID) {
+		return pr.wipeSuspectRows(e, batch)
+	})
+	e.trace("edge-delete", "%d edges removed (eager mode)", len(batch))
+	e.conv = false
+	return nil
+}
+
+// wipeSuspectRows is the eager-mode invalidation: every local row with
+// finite columns for both endpoints of a deleted edge is reset wholesale, and
+// every such snapshot is dropped (its owner re-sends after its own reset).
+func (pr *proc) wipeSuspectRows(e *Engine, batch []graph.EdgeTriple) (hit, holes []graph.ID) {
+	suspect := func(row []int32) bool {
+		for _, ed := range batch {
+			if int(ed.U) < len(row) && int(ed.V) < len(row) &&
+				row[ed.U] != dv.Inf && row[ed.V] != dv.Inf {
+				return true
+			}
+		}
+		return false
+	}
+	e.runShards(len(pr.local), e.shardImbReseed(), func(w, lo, hi int) {
+		ws := &pr.ws[w]
+		for _, x := range pr.local[lo:hi] {
+			row := pr.store.Row(x)
+			if !suspect(row) {
+				continue
+			}
+			for t := range row {
+				if graph.ID(t) != x {
+					row[t] = dv.Inf
+				}
+			}
+			ws.rows = append(ws.rows, x)
+		}
+	})
+	for s, row := range pr.ext {
+		if suspect(row) {
+			delete(pr.ext, s)
+			if !pr.extShared.Has(s) {
+				pr.recycleRow(row)
+			}
+			pr.extShared.Clear(s)
+			if pd, ok := pr.extPending[s]; ok {
+				delete(pr.extPending, s)
+				pd.cols.Reset()
+				pd.full = false
+				pr.pendingPool = append(pr.pendingPool, pd)
+			}
+			holes = append(holes, s)
+		}
+	}
+	return pr.takeRows(), holes
+}
+
+// deletionBatch validates pairs (see validateDeletionBatch) and resolves them
+// to the distinct live edges they name, with their current weights.
+func (e *Engine) deletionBatch(pairs [][2]graph.ID) ([]graph.EdgeTriple, error) {
+	if err := e.validateDeletionBatch(pairs); err != nil {
+		return nil, err
 	}
 	var batch []graph.EdgeTriple
 	seen := make(map[[2]graph.ID]bool, len(pairs))
@@ -325,93 +390,7 @@ func (e *Engine) applyEdgeDeletionsEager(pairs [][2]graph.ID) error {
 			batch = append(batch, graph.EdgeTriple{U: u, V: v, W: w})
 		}
 	}
-	if len(batch) == 0 {
-		return nil
-	}
-	for _, ed := range batch {
-		e.g.RemoveEdge(ed.U, ed.V)
-		e.invalidateMask(ed.U)
-		e.invalidateMask(ed.V)
-	}
-	suspect := func(row []int32) bool {
-		for _, ed := range batch {
-			if int(ed.U) < len(row) && int(ed.V) < len(row) &&
-				row[ed.U] != dv.Inf && row[ed.V] != dv.Inf {
-				return true
-			}
-		}
-		return false
-	}
-	refresh := make([]map[graph.ID]bool, e.opts.P)
-	e.rt.Parallel(func(p int) {
-		pr := e.procs[p]
-		pr.ensureScratch(e.width)
-		if e.workers > 1 {
-			refresh[p] = pr.eagerDeleteShards(e, suspect)
-			return
-		}
-		var hit []graph.ID
-		for _, x := range pr.local {
-			row := pr.store.Row(x)
-			if !suspect(row) {
-				continue
-			}
-			for t := range row {
-				if graph.ID(t) != x {
-					row[t] = dv.Inf
-				}
-			}
-			hit = append(hit, x)
-			pr.noteRowFull(x)
-		}
-		// Snapshots whose rows are suspect are dropped; the owner will
-		// re-send after its own reset.
-		holes := make(map[graph.ID]bool)
-		for s, row := range pr.ext {
-			if suspect(row) {
-				delete(pr.ext, s)
-				if !pr.extShared.Has(s) {
-					pr.recycleRow(row)
-				}
-				pr.extShared.Clear(s)
-				if p, ok := pr.extPending[s]; ok {
-					delete(pr.extPending, s)
-					p.cols.Reset()
-					p.full = false
-					pr.pendingPool = append(pr.pendingPool, p)
-				}
-				holes[s] = true
-			}
-		}
-		refresh[p] = holes
-		// Reseed the wiped rows from the local subgraph and relax them
-		// through every surviving source.
-		if len(hit) == 0 {
-			return
-		}
-		sources := make([]relaxSource, 0, len(pr.ext)+len(pr.local))
-		for _, s := range sortedExtIDs(pr.ext) {
-			sources = append(sources, relaxSource{id: s, row: pr.ext[s]})
-		}
-		for _, s := range pr.local {
-			sources = append(sources, relaxSource{id: s, row: pr.store.Row(s)})
-		}
-		for _, x := range hit {
-			sssp.DijkstraLocal(e.g, x, pr.isLocal, pr.scratch, pr.heap)
-			mergeMin(pr.store.Row(x), pr.scratch)
-			pr.relaxRowSources(x, sources)
-		}
-	})
-	for _, holes := range refresh {
-		for s := range holes {
-			if o := e.Owner(s); o >= 0 {
-				e.procs[o].noteRowFull(s)
-			}
-		}
-	}
-	e.trace("edge-delete", "%d edges removed (eager mode)", len(batch))
-	e.conv = false
-	return nil
+	return batch, nil
 }
 
 // validateDeletionBatch gives deletion inputs the same whole-batch
@@ -573,24 +552,30 @@ func (e *Engine) applyVertexAdditions(batch *VertexBatch, ps ProcessorAssigner) 
 	}
 	// Seed each new row with an IA-quality local Dijkstra (the new vertex
 	// joined its owner's local subgraph): one good initial vector instead
-	// of many dribbling refinements across later RC steps.
+	// of many dribbling refinements across later RC steps. The Dijkstras fan
+	// out over the pool (disjoint rows); the change notes are applied in the
+	// ordered merge.
 	e.rt.Parallel(func(p int) {
 		pr := e.procs[p]
-		pr.ensureScratch(e.width)
-		if e.workers > 1 {
-			pr.seedNewRowsShards(e, ids, placement, p)
-			return
-		}
+		pr.ensureWorkers(e)
+		owned := pr.idBuf[:0]
 		for i, owner := range placement {
-			if owner != p {
-				continue
-			}
-			v := ids[i]
-			sssp.DijkstraLocal(e.g, v, pr.isLocal, pr.scratch, pr.heap)
-			if cols := mergeMin(pr.store.Row(v), pr.scratch); len(cols) > 0 {
-				pr.noteRowChanged(e, v, cols, true)
+			if owner == p {
+				owned = append(owned, ids[i])
 			}
 		}
+		pr.idBuf = owned
+		e.runShards(len(owned), e.shardImbReseed(), func(w, lo, hi int) {
+			ws := &pr.ws[w]
+			for _, v := range owned[lo:hi] {
+				if changed := pr.reseed(e, ws, v); len(changed) > 0 {
+					ws.record(v, changed)
+				}
+			}
+		})
+		pr.forEachRecord(func(v graph.ID, cols []int32) {
+			pr.noteRowChanged(e, v, cols, true)
+		})
 	})
 	e.trace("vertex-add", "%d vertices, %d edges via %s", batch.Count, batch.NumEdges(), ps.Name())
 	e.conv = false

@@ -36,7 +36,6 @@ import (
 	"aacc/internal/logp"
 	"aacc/internal/obs"
 	"aacc/internal/partition"
-	"aacc/internal/pqueue"
 	"aacc/internal/runtime"
 	"aacc/internal/sparse"
 	"aacc/internal/sssp"
@@ -84,15 +83,18 @@ type Options struct {
 	// entirely metric-free — no timestamps, no atomics (see
 	// internal/obs for the overhead rules).
 	Obs *obs.Registry
-	// Workers sets the intra-processor worker-pool size: the hot per-vertex
-	// loops (IA Dijkstra, the install/relax scans, the reseed sweeps of
-	// deletions, vertex additions, repartitioning and failure recovery) are
-	// sharded across this many goroutines per processor, each with its own
-	// scratch/heap arena. 1 (the default) runs today's sequential path; the
-	// CLI defaults to runtime.GOMAXPROCS. Shard assignment and merge order
-	// are fixed, so results are deterministic at any worker count and
-	// bit-identical to sequential mode at every convergence point (see
-	// DESIGN.md §6, "Parallel-mode determinism").
+	// Workers sets the intra-processor worker-pool size: the per-vertex
+	// loops (IA Dijkstra, the install/relax scans, the edge-addition sweep,
+	// the reseed sweeps of deletions, vertex additions, repartitioning and
+	// failure recovery) are sharded across this many goroutines per
+	// processor, each with its own scratch/heap arena. Default 1: the one
+	// shard runs inline on the processor's goroutine; the CLI defaults to
+	// runtime.GOMAXPROCS. Every pool size runs the same kernels, except that
+	// relax updates rows in place with one worker and against frozen sources
+	// with more. Shard assignment and merge order are fixed, so results are
+	// deterministic at any worker count and bit-identical across worker
+	// counts at every convergence point (see DESIGN.md §6, "Worker-pool
+	// mode").
 	Workers int
 	// EagerLocalRefresh enables the paper's optional recombination
 	// strategy of refreshing all local DVs against each other every RC
@@ -143,12 +145,11 @@ type Engine struct {
 	// the resident ones.
 	partial runtime.Partial
 	owner   []int16 // vertex ID -> processor, -1 for dead vertices
-	procs []*proc
-	width int // current global ID-space size
-	step  int
-	conv  bool
+	procs   []*proc
+	width   int // current global ID-space size
+	step    int
+	conv    bool
 	// workers is the intra-processor pool size (Options.Workers, >= 1).
-	// 1 selects the sequential data path at every gate.
 	workers int
 	// maskCache memoises peerMask per vertex (maskValid[v] gates it);
 	// mutation paths that change a vertex's neighbourhood or ownership
@@ -203,8 +204,6 @@ type proc struct {
 	pendingRescan map[graph.ID]map[graph.ID]struct{}
 	// isLocal[v] reports local ownership; sized to the engine width.
 	isLocal []bool
-	heap    *pqueue.Heap // scratch for local Dijkstra
-	scratch []int32      // scratch distance row
 
 	// Reusable relaxation scratch (see gatherSources/relaxRowSources).
 	changedBuf []int32       // changed-column scratch, one row at a time
@@ -234,12 +233,12 @@ type proc struct {
 	// across steps.
 	roundRows []graph.ID
 
-	// ws are the per-worker scratch arenas of the intra-processor pool
-	// (Workers > 1): each shard worker owns one, so workers never share
-	// pr.scratch/pr.heap. Sized by ensureWorkers, amortised across calls.
+	// ws are the per-worker scratch arenas of the intra-processor pool, one
+	// per pool worker: the Dijkstra heap and distance row plus the shard's
+	// change records. Sized by ensureWorkers, amortised across calls.
 	ws []workerScratch
 	// snapRows are pooled full-row value snapshots of local sources taken
-	// for a parallel relax (shard workers must not read a row another
+	// for a frozen-source relax (shard workers must not read a row another
 	// worker writes); recycled into rowPool at the end of each relax.
 	snapRows [][]int32
 }
@@ -355,6 +354,19 @@ func (o Options) newRuntime() (runtime.Runtime, error) {
 // mutates as dynamic changes are applied) and runs the DD and IA phases.
 // The first RC step happens on the first call to Step or Run.
 func New(g *graph.Graph, opts Options) (*Engine, error) {
+	e, err := newEngine(g, opts)
+	if err != nil {
+		return nil, err
+	}
+	e.initialize()
+	return e, nil
+}
+
+// newEngine is the one engine constructor: it resolves the option defaults,
+// builds the execution runtime and wires the observability sinks and the
+// strategies pipeline. New follows it with DD and IA, LoadCheckpoint with the
+// checkpointed assignment and rows.
+func newEngine(g *graph.Graph, opts Options) (*Engine, error) {
 	opts = opts.withDefaults()
 	if opts.P < 1 || opts.P > 64 {
 		return nil, fmt.Errorf("core: P must be in [1,64], got %d", opts.P)
@@ -382,7 +394,6 @@ func New(g *graph.Graph, opts Options) (*Engine, error) {
 		}
 	}
 	e.installStrategies()
-	e.initialize()
 	return e, nil
 }
 
@@ -435,39 +446,24 @@ func (e *Engine) initialize() {
 	e.rt.Parallel(func(p int) {
 		pr := e.procs[p]
 		sort.Slice(pr.local, func(i, j int) bool { return pr.local[i] < pr.local[j] })
-		pr.ensureScratch(e.width)
-		if e.workers > 1 {
-			// Sharded IA: store rows and bookkeeping are created in a
-			// sequential pre-pass (map writes, sparse sets), then the
-			// Dijkstra sweeps — pure compute into disjoint rows — fan out
-			// across the worker pool.
-			for _, v := range pr.local {
-				pr.store.AddRow(v)
-				// IA rows are sent whole, but are not relaxation sources:
-				// local closure means they offer nothing to each other.
-				pr.dirtySend.Add(v)
-				pr.state(v).sendFull = true
-			}
-			pr.ensureWorkers(e)
-			e.runShards(len(pr.local), e.shardImbIA(), func(w, lo, hi int) {
-				ws := &pr.ws[w]
-				ws.ensure(e.width)
-				for _, v := range pr.local[lo:hi] {
-					sssp.DijkstraLocal(e.g, v, pr.isLocal, ws.scratch, ws.heap)
-					copy(pr.store.Row(v), ws.scratch)
-				}
-			})
-			return
-		}
+		// Store rows and bookkeeping are created in a sequential pre-pass
+		// (map writes, sparse sets), then the Dijkstra sweeps — pure compute
+		// into disjoint rows — run sharded over the worker pool.
 		for _, v := range pr.local {
 			pr.store.AddRow(v)
-			sssp.DijkstraLocal(e.g, v, pr.isLocal, pr.scratch, pr.heap)
-			copy(pr.store.Row(v), pr.scratch)
 			// IA rows are sent whole, but are not relaxation sources:
 			// local closure means they offer nothing to each other.
 			pr.dirtySend.Add(v)
 			pr.state(v).sendFull = true
 		}
+		pr.ensureWorkers(e)
+		e.runShards(len(pr.local), e.shardImbIA(), func(w, lo, hi int) {
+			ws := &pr.ws[w]
+			for _, v := range pr.local[lo:hi] {
+				sssp.DijkstraLocal(e.g, v, pr.isLocal, ws.scratch, ws.heap)
+				copy(pr.store.Row(v), ws.scratch)
+			}
+		})
 	})
 	e.step = 0
 	e.conv = false
@@ -557,15 +553,6 @@ func (pr *proc) retire(v graph.ID, owned bool) {
 	}
 	delete(pr.pendingRescan, v)
 	pr.store.ClearColumn(v)
-}
-
-func (pr *proc) ensureScratch(width int) {
-	if pr.heap == nil || len(pr.scratch) < width {
-		c := 2 * width
-		pr.heap = pqueue.New(c)
-		pr.scratch = make([]int32, c)
-	}
-	pr.scratch = pr.scratch[:width]
 }
 
 // Tracer observes the engine's progress: one StepDone per RC step and one

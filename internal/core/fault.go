@@ -86,36 +86,43 @@ func (e *Engine) FailProcessor(p int) (*FailureRecovery, error) {
 				}
 				recovered[v] = row
 			}
-			mergeMin(row, snap)
+			pr.changedBuf = dv.MergeMin(row, snap, pr.changedBuf[:0])
 		}
 	}
 
 	// Recovery phase 2: rebuild every local row — salvaged snapshot merged
-	// with a fresh local Dijkstra — and queue everything for exchange.
+	// with a fresh local Dijkstra — and queue everything for exchange. Rows
+	// are pre-created sequentially, the salvage-merge and Dijkstra sweeps
+	// shard over the pool with per-worker recovery counters summed in worker
+	// order, and the bookkeeping runs after the barrier.
 	start := time.Now()
-	pr.ensureScratch(e.width)
-	if e.workers > 1 {
-		pr.recoverRowsShards(e, recovered, rec)
-		e.rt.AccountCompute(time.Since(start))
-		e.trace("failure", "processor %d lost %d rows, %d salvaged from snapshots", p, rec.RowsLost, rec.RowsFromSnapshots)
-		e.conv = false
-		return rec, nil
-	}
 	for _, v := range pr.local {
 		pr.store.AddRow(v)
-		row := pr.store.Row(v)
-		if salv := recovered[v]; salv != nil {
-			rec.RowsFromSnapshots++
-			mergeMin(row, salv)
-		}
-		sssp.DijkstraLocal(e.g, v, pr.isLocal, pr.scratch, pr.heap)
-		for t, d := range pr.scratch {
-			if d < row[t] {
-				row[t] = d
-			} else if row[t] < d && row[t] != dv.Inf && graph.ID(t) != v {
-				rec.EntriesRecovered++
+	}
+	pr.ensureWorkers(e)
+	e.runShards(len(pr.local), e.shardImbReseed(), func(w, lo, hi int) {
+		ws := &pr.ws[w]
+		for _, v := range pr.local[lo:hi] {
+			row := pr.store.Row(v)
+			if salv := recovered[v]; salv != nil {
+				ws.n1++
+				ws.changed = dv.MergeMin(row, salv, ws.changed[:0])
+			}
+			sssp.DijkstraLocal(e.g, v, pr.isLocal, ws.scratch, ws.heap)
+			for t, d := range ws.scratch {
+				if d < row[t] {
+					row[t] = d
+				} else if row[t] < d && row[t] != dv.Inf && graph.ID(t) != v {
+					ws.n2++
+				}
 			}
 		}
+	})
+	for w := range pr.ws {
+		rec.RowsFromSnapshots += pr.ws[w].n1
+		rec.EntriesRecovered += pr.ws[w].n2
+	}
+	for _, v := range pr.local {
 		pr.noteRowFull(v)
 	}
 	e.rt.AccountCompute(time.Since(start))

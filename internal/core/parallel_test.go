@@ -14,12 +14,15 @@ import (
 // i.e. every code path that shards across the pool — must produce
 // bit-identical Distances and Scores at every convergence checkpoint for any
 // worker count. Converged distances are the exact shortest paths, so the
-// sequential (Gauss–Seidel, in-place) and parallel (Jacobi, frozen-source)
+// one-worker (Gauss–Seidel, in-place) and pooled (Jacobi, frozen-source)
 // relax orders meet at the same fixpoint; see DESIGN.md §6.
 
 // parallelWorkload drives one engine through the full dynamic workload,
 // converging after every mutation and recording a distance snapshot at each
-// checkpoint. All mutations are derived deterministically from the graph
+// checkpoint. Mutations applied to a converged engine are also recorded
+// immediately, before any step: the mutation kernels are the same code at
+// every pool size, so from identical converged state they must leave
+// identical rows. All mutations are derived deterministically from the graph
 // state, so every worker count sees the identical operation sequence.
 func parallelWorkload(t *testing.T, workers int) []map[graph.ID][]int32 {
 	t.Helper()
@@ -29,9 +32,13 @@ func parallelWorkload(t *testing.T, workers int) []map[graph.ID][]int32 {
 		t.Fatal(err)
 	}
 	var checkpoints []map[graph.ID][]int32
-	snap := func() {
+	converge := func() {
 		mustRun(t, e)
 		checkpoints = append(checkpoints, e.Distances())
+	}
+	snap := func() {
+		checkpoints = append(checkpoints, e.Distances()) // post-mutation, pre-step
+		converge()
 	}
 	snap() // IA + first convergence
 
@@ -72,7 +79,8 @@ func parallelWorkload(t *testing.T, workers int) []map[graph.ID][]int32 {
 	snap()
 
 	// Eager-mode deletions on partially-converged state: mutate, step twice
-	// (not to convergence), then delete eagerly.
+	// (not to convergence), then delete eagerly. The two relax kernels may
+	// differ mid-run, so only the converged state is compared here.
 	if err := e.applyEdgeAdditions([]graph.EdgeTriple{{U: 5, V: 180, W: 2}, {U: 12, V: 150, W: 1}}); err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +92,7 @@ func parallelWorkload(t *testing.T, workers int) []map[graph.ID][]int32 {
 	if err := e.applyEdgeDeletionsEager([][2]graph.ID{{5, 180}}); err != nil {
 		t.Fatal(err)
 	}
-	snap()
+	converge()
 
 	// Weight change (deletion + re-insertion path).
 	if err := setWeight(e, 12, 150, 3); err != nil {
@@ -138,13 +146,13 @@ func sameCheckpoints(t *testing.T, label string, want, got []map[graph.ID][]int3
 func TestParallelDeterminismOracle(t *testing.T) {
 	base := parallelWorkload(t, 1)
 	for _, w := range []int{2, 4, 7} {
-		sameCheckpoints(t, fmt.Sprintf("workers=%d vs sequential", w), base, parallelWorkload(t, w))
+		sameCheckpoints(t, fmt.Sprintf("workers=%d vs workers=1", w), base, parallelWorkload(t, w))
 	}
 }
 
 // TestParallelScoresMatchSequential pins the Scores read-out: the converged
-// scores of a parallel engine must be bit-identical (exact float equality)
-// to the sequential engine's.
+// scores of a pooled engine must be bit-identical (exact float equality)
+// to the one-worker engine's.
 func TestParallelScoresMatchSequential(t *testing.T) {
 	g := gen.BarabasiAlbert(150, 2, 5, gen.Config{MaxWeight: 3})
 	seq, err := New(g.Clone(), Options{P: 4, Seed: 11})
@@ -233,8 +241,8 @@ func TestParallelConvergesToExact(t *testing.T) {
 	}
 }
 
-// TestWorkersDefault pins the option default: Workers < 1 resolves to the
-// sequential path.
+// TestWorkersDefault pins the option default: Workers < 1 resolves to a pool
+// of one.
 func TestWorkersDefault(t *testing.T) {
 	e := mustEngine(t, gen.Path(10), 2)
 	if e.Workers() != 1 {

@@ -149,19 +149,26 @@ type relaxSource struct {
 	row  []int32
 	cols []int32
 	// vals, when non-nil, is a value snapshot of the cols entries taken
-	// when the source list was gathered: the parallel relax scans read
+	// when the source list was gathered: the frozen-source relax scans read
 	// (cols, vals) instead of the live row, so shard workers rewriting
-	// local rows can never race a scan (see gatherSourcesSnapshot).
+	// local rows can never race a scan (see gatherSources).
 	vals []int32
 }
 
 // relax performs the recombination update on one processor and returns the
-// number of local rows that changed.
+// number of local rows that changed. It is the one job with two kernels,
+// selected by pool size. One worker has no concurrent writer, so it relaxes
+// in place (Gauss–Seidel) and needs no source snapshots; a wider pool relaxes
+// against frozen sources (Jacobi, relaxFrozen), whose full-row snapshots cost
+// memory a single worker has no use for (DESIGN.md §6 has the measurement).
+// Both are monotone min-plus iterations over the same source notes, so they
+// reach the same exact fixpoint; the frozen pass may propagate an improvement
+// one step later.
 func (pr *proc) relax(e *Engine) int {
 	if e.workers > 1 {
-		return pr.relaxParallel(e)
+		return pr.relaxFrozen(e)
 	}
-	sources := pr.gatherSources()
+	sources := pr.gatherSources(false)
 	if len(sources) == 0 && len(pr.pendingRescan) == 0 {
 		return 0
 	}
@@ -175,6 +182,60 @@ func (pr *proc) relax(e *Engine) int {
 	}
 	clear(pr.pendingRescan)
 	return changed
+}
+
+// relaxFrozen is relax for a pool of several workers: phase A shards the
+// source scans over the pool against a frozen source list, phase B runs the
+// DVR rescan cascade and the dirty bookkeeping sequentially in ascending row
+// order. The phases split exactly here because the scans only write their own
+// row, while the cascade reads live local rows and the bookkeeping mutates
+// shared sets. The result depends only on each row's prior state and the
+// gathered source notes, never on the shard layout, so every pool size > 1
+// agrees after every single step.
+func (pr *proc) relaxFrozen(e *Engine) int {
+	sources := pr.gatherSources(true)
+	if len(sources) == 0 && len(pr.pendingRescan) == 0 {
+		return 0 // no sources, so no snapshots to release
+	}
+	pr.ensureWorkers(e)
+	e.runShards(len(pr.local), e.shardImbInstall(), func(w, lo, hi int) {
+		ws := &pr.ws[w]
+		for _, x := range pr.local[lo:hi] {
+			changed := dedupCols(scanSources(x, pr.store.Row(x), sources, ws.changed[:0]))
+			ws.changed = changed
+			// pendingRescan is read-only during the fan-out (mutation paths
+			// populated it before the step); rows with queued rescans join
+			// the cascade even when the scans changed nothing.
+			if len(changed) == 0 && pr.pendingRescan[x] == nil {
+				continue
+			}
+			ws.record(x, changed)
+		}
+	})
+	pr.releaseSnapshots()
+	changedRows := 0
+	pr.forEachRecord(func(x graph.ID, cols []int32) {
+		changed := append(pr.changedBuf[:0], cols...)
+		changed = pr.cascadeRescans(x, pr.store.Row(x), changed)
+		changed = dedupCols(changed)
+		pr.changedBuf = changed
+		if len(changed) > 0 {
+			changedRows++
+			pr.noteRowChanged(e, x, changed, false)
+		}
+	})
+	clear(pr.pendingRescan)
+	return changedRows
+}
+
+// releaseSnapshots recycles the full-row source snapshots taken by
+// gatherSources(true) back into the row pool.
+func (pr *proc) releaseSnapshots() {
+	for i, r := range pr.snapRows {
+		pr.recycleRow(r)
+		pr.snapRows[i] = nil
+	}
+	pr.snapRows = pr.snapRows[:0]
 }
 
 // arenaCopy appends cols to the arena and returns the stable view of the
@@ -192,7 +253,13 @@ func arenaCopy(arena *[]int32, cols []int32) []int32 {
 // list, the ID buffer and the column arena — is per-proc and reused across
 // steps; changed-column lists are copied into the arena so the pending
 // accumulators can be recycled immediately.
-func (pr *proc) gatherSources() []relaxSource {
+//
+// With freeze set (the frozen-source relax) local sources are value-
+// snapshotted — delta sources get a (cols, vals) copy in the arena, full
+// sources a pooled whole-row copy released by releaseSnapshots — because shard
+// workers will concurrently rewrite the live local rows they'd otherwise
+// scan. External snapshots stay live: nothing writes them during relax.
+func (pr *proc) gatherSources(freeze bool) []relaxSource {
 	n := len(pr.extPending) + pr.dirtySrc.Len()
 	if n == 0 {
 		return nil
@@ -222,8 +289,19 @@ func (pr *proc) gatherSources() []relaxSource {
 	for _, id := range pr.dirtySrc.Sorted() {
 		st := pr.state(id)
 		src := relaxSource{id: id, row: pr.store.Row(id)}
-		if !st.srcFull {
+		switch {
+		case !st.srcFull:
 			src.cols = arenaCopy(&pr.srcArena, st.srcCols.Sorted())
+			if freeze {
+				a := len(pr.srcArena)
+				for _, c := range src.cols {
+					pr.srcArena = append(pr.srcArena, src.row[c])
+				}
+				src.vals = pr.srcArena[a:len(pr.srcArena):len(pr.srcArena)]
+			}
+		case freeze:
+			src.row = pr.newRowCopy(src.row)
+			pr.snapRows = append(pr.snapRows, src.row)
 		}
 		st.srcCols.Reset()
 		st.srcFull = false
@@ -234,14 +312,9 @@ func (pr *proc) gatherSources() []relaxSource {
 	return sources
 }
 
-// relaxRowSources relaxes one local row through the given sources, then
-// cascades the DVR rescan rule until stable: any column of x naming a held
-// source that decreased (now, or queued by an earlier mutation) triggers a
-// full scan through that source. Returns the deduplicated changed columns,
-// valid until the next call (shared per-proc scratch).
-func (pr *proc) relaxRowSources(x graph.ID, sources []relaxSource) []int32 {
-	row := pr.store.Row(x)
-	changed := pr.changedBuf[:0]
+// scanSources relaxes row (of local vertex x) once through every source,
+// appending the changed columns.
+func scanSources(x graph.ID, row []int32, sources []relaxSource, changed []int32) []int32 {
 	for _, s := range sources {
 		if s.id == x {
 			continue
@@ -259,6 +332,17 @@ func (pr *proc) relaxRowSources(x graph.ID, sources []relaxSource) []int32 {
 			changed = dv.ScanCols(row, d, s.row, s.cols, changed)
 		}
 	}
+	return changed
+}
+
+// relaxRowSources relaxes one local row through the given sources, then
+// cascades the DVR rescan rule until stable: any column of x naming a held
+// source that decreased (now, or queued by an earlier mutation) triggers a
+// full scan through that source. Returns the deduplicated changed columns,
+// valid until the next call (shared per-proc scratch).
+func (pr *proc) relaxRowSources(x graph.ID, sources []relaxSource) []int32 {
+	row := pr.store.Row(x)
+	changed := scanSources(x, row, sources, pr.changedBuf[:0])
 	changed = pr.cascadeRescans(x, row, changed)
 	changed = dedupCols(changed)
 	pr.changedBuf = changed
@@ -272,8 +356,8 @@ func (pr *proc) relaxRowSources(x graph.ID, sources []relaxSource) []int32 {
 // mutations' pending rescans plus the changed held-source columns, and each
 // round only the *newly* decreased columns seed the next, so the cascade
 // terminates with the row closed under every held source. It reads live
-// source rows and must therefore run sequentially — the parallel relax calls
-// it per row in ascending order after the sharded scan barrier.
+// source rows and must therefore run sequentially — the frozen-source relax
+// calls it per row in ascending order after the sharded scan barrier.
 func (pr *proc) cascadeRescans(x graph.ID, row []int32, changed []int32) []int32 {
 	queue := pr.rescanBuf[:0]
 	if set := pr.pendingRescan[x]; len(set) > 0 {
@@ -347,27 +431,31 @@ func (pr *proc) eagerLocalRefresh(e *Engine) int {
 //
 // endRows maps each edge endpoint to the broadcast snapshot of its DV row.
 // Changed rows are queued for propagation (with rescans: a decreased column
-// naming a held source must be rescanned at the next RC step). Returns the
-// number of changed local rows.
-func (pr *proc) relaxThroughEdges(e *Engine, edges []graph.EdgeTriple, endRows map[graph.ID][]int32) int {
-	changedRows := 0
-	for _, x := range pr.local {
-		row := pr.store.Row(x)
-		changed := pr.changedBuf[:0]
-		for _, ed := range edges {
-			changed = relaxRowThroughEdge(row, ed.U, ed.W, endRows[ed.V], changed)
-			changed = relaxRowThroughEdge(row, ed.V, ed.W, endRows[ed.U], changed)
+// naming a held source must be rescanned at the next RC step). The endpoint
+// rows are pre-broadcast snapshots and each row relaxes independently through
+// them, so the sweep shards over the pool; only the dirty bookkeeping waits
+// for the ordered merge.
+func (pr *proc) relaxThroughEdges(e *Engine, edges []graph.EdgeTriple, endRows map[graph.ID][]int32) {
+	pr.ensureWorkers(e)
+	e.runShards(len(pr.local), e.shardImbInstall(), func(w, lo, hi int) {
+		ws := &pr.ws[w]
+		for _, x := range pr.local[lo:hi] {
+			row := pr.store.Row(x)
+			changed := ws.changed[:0]
+			for _, ed := range edges {
+				changed = relaxRowThroughEdge(row, ed.U, ed.W, endRows[ed.V], changed)
+				changed = relaxRowThroughEdge(row, ed.V, ed.W, endRows[ed.U], changed)
+			}
+			if len(changed) > 0 {
+				changed = dedupCols(changed)
+				ws.record(x, changed)
+			}
+			ws.changed = changed
 		}
-		if len(changed) > 0 {
-			changedRows++
-			changed = dedupCols(changed)
-			pr.changedBuf = changed
-			pr.noteRowChanged(e, x, changed, true)
-		} else {
-			pr.changedBuf = changed
-		}
-	}
-	return changedRows
+	})
+	pr.forEachRecord(func(x graph.ID, cols []int32) {
+		pr.noteRowChanged(e, x, cols, true)
+	})
 }
 
 // relaxRowThroughEdge applies d(x,t) = min(d(x,t), d(x,u) + w + D_v(t)),
@@ -435,13 +523,6 @@ func invalidateThroughEdge(pristine, row []int32, self graph.ID, u, v graph.ID, 
 		}
 	}
 	return count
-}
-
-// mergeMin folds src into dst entrywise (dst = min(dst, src)), returning the
-// changed columns. Used to reuse partial results when re-running local
-// Dijkstra after deletions or repartitioning.
-func mergeMin(dst, src []int32) []int32 {
-	return dv.MergeMin(dst, src, nil)
 }
 
 // dedupCols sorts and deduplicates a changed-column list in place.

@@ -7,7 +7,6 @@ import (
 
 	"aacc/internal/graph"
 	"aacc/internal/partition"
-	"aacc/internal/sssp"
 )
 
 // ProcessorAssigner chooses the owner processor of each vertex in a new
@@ -365,11 +364,8 @@ func (e *Engine) repartition(batch *VertexBatch) (*RepartitionResult, error) {
 			pd.cols.Release()
 		}
 		clear(pr.pendingRescan)
-		pr.ensureScratch(e.width)
-		if e.workers > 1 {
-			pr.repartitionReseedShards(e, firstNew)
-			return
-		}
+		// Flow-metadata bookkeeping runs sequentially first (peer-mask reads
+		// hit the cache warmed above).
 		for _, v := range pr.local {
 			pr.isLocal[v] = true
 			mask := e.peerMask(v)
@@ -380,23 +376,34 @@ func (e *Engine) repartition(batch *VertexBatch) (*RepartitionResult, error) {
 			st.srcFull = true
 			st.srcCols.Release()
 			pr.dirtySrc.Add(v)
-			// Re-seed from a fresh local Dijkstra merged over the surviving
-			// estimates (IA-quality local closure on the new subgraph).
-			sssp.DijkstraLocal(e.g, v, pr.isLocal, pr.scratch, pr.heap)
-			if v >= firstNew {
-				// New batch vertices: nobody holds a snapshot yet.
-				mergeMin(pr.store.Row(v), pr.scratch)
-				pr.noteRowFull(v)
-				continue
-			}
-			if cols := mergeMin(pr.store.Row(v), pr.scratch); len(cols) > 0 {
-				pr.dirtySend.Add(v)
-				st.noteCols(e.width, cols)
-			}
 			// New peers hold no snapshot: queue the row so collectMail
 			// ships them a full copy (up-to-date peers get nothing).
-			if mask&^st.upToDate != 0 {
+			if v < firstNew && mask&^st.upToDate != 0 {
 				pr.dirtySend.Add(v)
+			}
+		}
+		// Re-seed every row from a fresh local Dijkstra merged over the
+		// surviving estimates (IA-quality local closure on the new subgraph),
+		// sharded over the pool; the change notes are applied in the ordered
+		// merge.
+		pr.ensureWorkers(e)
+		e.runShards(len(pr.local), e.shardImbReseed(), func(w, lo, hi int) {
+			ws := &pr.ws[w]
+			for _, v := range pr.local[lo:hi] {
+				// New batch vertices are noted whole below: nobody holds a
+				// snapshot yet.
+				if changed := pr.reseed(e, ws, v); v < firstNew && len(changed) > 0 {
+					ws.record(v, changed)
+				}
+			}
+		})
+		pr.forEachRecord(func(v graph.ID, cols []int32) {
+			pr.dirtySend.Add(v)
+			pr.state(v).noteCols(e.width, cols)
+		})
+		for _, v := range pr.local {
+			if v >= firstNew {
+				pr.noteRowFull(v)
 			}
 		}
 	})

@@ -3,8 +3,6 @@ package runtime
 import (
 	"encoding/binary"
 	"fmt"
-	gort "runtime"
-	"sync"
 	"time"
 
 	"aacc/internal/cluster"
@@ -12,8 +10,6 @@ import (
 	"aacc/internal/logp"
 	"aacc/internal/obs"
 )
-
-func gomaxprocs() int { return gort.GOMAXPROCS(0) }
 
 // Partial is implemented by runtimes that host only a slice of the
 // simulated processors in this process (a worker in a multi-process
@@ -63,7 +59,6 @@ type Remote struct {
 	lo, hi int
 	codec  cluster.WireCodec
 	tr     RemoteTransport
-	pool   int
 
 	// seq is the sequence number for the next collective. It is written by
 	// SetBaseSeq before each engine call and read/advanced by the
@@ -98,12 +93,7 @@ func NewRemote(p, lo, hi int, model logp.Params, codec cluster.WireCodec, tr Rem
 	if codec == nil || tr == nil {
 		return nil, fmt.Errorf("runtime: NewRemote needs a codec and a transport")
 	}
-	c := cluster.New(p, model)
-	pool := hi - lo
-	if gm := gomaxprocs(); gm < pool {
-		pool = gm
-	}
-	return &Remote{Cluster: c, lo: lo, hi: hi, codec: codec, tr: tr, pool: pool}, nil
+	return &Remote{Cluster: cluster.New(p, model), lo: lo, hi: hi, codec: codec, tr: tr}, nil
 }
 
 // Resident implements Partial.
@@ -133,35 +123,7 @@ func (r *Remote) SetDetached(v bool) { r.detached = v }
 // Parallel runs fn for the resident processors only and accounts the
 // section's modelled parallel time as the slowest resident processor. The
 // other workers run their own ranges concurrently in their own processes.
-func (r *Remote) Parallel(fn func(proc int)) {
-	n := r.hi - r.lo
-	durs := make([]time.Duration, n)
-	work := make(chan int, n)
-	for i := r.lo; i < r.hi; i++ {
-		work <- i
-	}
-	close(work)
-	var wg sync.WaitGroup
-	for w := 0; w < r.pool; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for proc := range work {
-				start := time.Now()
-				fn(proc)
-				durs[proc-r.lo] = time.Since(start)
-			}
-		}()
-	}
-	wg.Wait()
-	var max time.Duration
-	for _, d := range durs {
-		if d > max {
-			max = d
-		}
-	}
-	r.AccountCompute(max)
-}
+func (r *Remote) Parallel(fn func(proc int)) { r.ParallelRange(r.lo, r.hi, fn) }
 
 // Exchange implements the personalised all-to-all across the worker mesh:
 // resident rows are encoded and shipped, resident destination cells come
@@ -170,79 +132,18 @@ func (r *Remote) Parallel(fn func(proc int)) {
 // verdict replaces the local one — an aborted round returns an error even if
 // this worker's slice was delivered.
 func (r *Remote) Exchange(out [][]*cluster.Mail) ([][]*cluster.Mail, error) {
-	p := r.P()
-	if len(out) != p {
-		panic(fmt.Sprintf("runtime: Exchange needs %d rows, got %d", p, len(out)))
-	}
-	start := time.Now()
-	frames := make([][][]byte, p)
-	sizes := make([][]int, p)
-	var encErr error
-	for src := r.lo; src < r.hi && encErr == nil; src++ {
-		if out[src] == nil {
-			continue
-		}
-		if len(out[src]) != p {
-			panic(fmt.Sprintf("runtime: Exchange row %d has %d columns, want %d", src, len(out[src]), p))
-		}
-		frames[src] = make([][]byte, p)
-		sizes[src] = make([]int, p)
-		for dst, m := range out[src] {
-			if m == nil || src == dst {
-				continue
-			}
-			frame, err := r.codec.Encode(m.Payload)
-			if err != nil {
-				encErr = fmt.Errorf("runtime: encoding %d->%d: %w", src, dst, err)
-				break
-			}
-			frames[src][dst] = frame
-			sizes[src][dst] = len(frame)
-		}
-	}
-	var in [][]*cluster.Mail
-	var inFrames [][][]byte
-	roundErr := encErr
-	if roundErr == nil {
-		inFrames, roundErr = r.tr.RoundTrip(r.takeSeq(), frames)
-		if roundErr != nil {
-			roundErr = fmt.Errorf("runtime: mesh round trip: %w", roundErr)
-		}
-	}
-	if roundErr == nil {
-		in = make([][]*cluster.Mail, p)
-		for dst := range in {
-			in[dst] = make([]*cluster.Mail, p)
-		}
-		for dst := r.lo; dst < r.hi; dst++ {
-			for src, frame := range inFrames[dst] {
-				if frame == nil || src == dst {
-					continue
-				}
-				payload, err := r.codec.Decode(frame)
-				if err != nil {
-					roundErr = fmt.Errorf("runtime: decoding %d->%d: %w", src, dst, err)
-					break
-				}
-				in[dst][src] = &cluster.Mail{Payload: payload, Bytes: len(frame)}
-			}
-			if roundErr != nil {
-				break
-			}
-		}
-	}
-	r.AccountCompute(time.Since(start))
+	in, sizes, err := exchangeRange(r.Cluster, r.codec, r.lo, r.hi, out, func(frames [][][]byte) ([][][]byte, error) {
+		return r.tr.RoundTrip(r.takeSeq(), frames)
+	})
 	if r.barrier != nil {
-		if verdict := r.barrier(roundErr); verdict != nil {
+		if verdict := r.barrier(err); verdict != nil {
 			return nil, verdict
 		}
-		if roundErr != nil {
-			// A commit verdict over a local failure is a protocol bug; do
-			// not install a half-round.
-			return nil, roundErr
-		}
-	} else if roundErr != nil {
-		return nil, roundErr
+	}
+	if err != nil {
+		// With a barrier, a commit verdict over a local failure is a
+		// protocol bug; do not install a half-round.
+		return nil, err
 	}
 	r.AccountExchange(sizes)
 	return in, nil

@@ -5,7 +5,7 @@
 // shared Stats schema, so sim-mode and wire-mode analyses emit identical
 // observability records.
 //
-// Two implementations ship today:
+// Three implementations ship today:
 //
 //   - the in-process reference-passing cluster (runtime.Sim, the default):
 //     payloads are handed over by pointer and the LogP model prices the
@@ -13,12 +13,20 @@
 //   - the wire runtime (runtime.WireTCP): every exchange payload is
 //     serialised by a cluster.WireCodec and carried by a
 //     transport.Transport — by default a real TCP loopback mesh — so
-//     traffic accounting reflects measured frame bytes.
+//     traffic accounting reflects measured frame bytes;
+//   - the multi-process runtime (runtime.Remote): one worker process hosts a
+//     contiguous slice of the processors and exchanges over a worker mesh.
+//
+// Wire and Remote compose the same in-process cluster and share one
+// implementation of each collective: the exchange is one encode → round-trip
+// → decode helper over a processor range (exchangeRange; Wire passes the full
+// range, Remote its resident slice, a coordinator sequence number and a
+// commit barrier), and compute phases are cluster.Cluster's pool loop over
+// that range.
 //
 // Selection happens at construction (core.Options.Runtime or a custom
 // factory); nothing mutates a runtime into a different mode after it is
-// built. The layer exists so future backends (multi-process, async or
-// batched exchange rounds) slot in without touching the engine's phases.
+// built.
 package runtime
 
 import (

@@ -32,23 +32,41 @@ func NewWire(p int, model logp.Params, codec cluster.WireCodec, tr transport.Tra
 	return &Wire{Cluster: cluster.New(p, model), codec: codec, tr: tr}
 }
 
-// Exchange implements Runtime over the byte transport: encode, round-trip,
-// decode. Frame sizes — real serialised bytes — feed the LogP pricing and
-// traffic counters; encode/decode time is charged as compute. Transport and
-// codec failures surface as errors — the round is reported undelivered, no
-// partial results are returned, and the caller decides whether to degrade or
-// abort. Shape violations remain panics: they are caller bugs, not wire
-// weather. A failed round is not folded into the traffic accounting (its
-// bytes never arrived); only the encode/decode work is charged as compute.
+// Exchange implements Runtime over the byte transport: the shared wire
+// exchange over the full processor range.
 func (w *Wire) Exchange(out [][]*cluster.Mail) ([][]*cluster.Mail, error) {
-	p := w.P()
+	in, sizes, err := exchangeRange(w.Cluster, w.codec, 0, w.P(), out, w.tr.RoundTrip)
+	if err != nil {
+		return nil, err
+	}
+	w.AccountExchange(sizes)
+	return in, nil
+}
+
+// exchangeRange is the wire exchange both wire runtimes share: encode rows
+// [lo,hi) of out, carry the frames with roundTrip, decode the cells destined
+// to [lo,hi). Wire passes the full range; Remote its resident slice — the
+// rest of the matrix lives in the other processes. It returns the received
+// mail indexed [dst][src] and the measured frame sizes [src][dst] — real
+// serialised bytes, which the caller feeds to AccountExchange once the round
+// commits. Encode/decode time is charged to c as compute. Transport and codec
+// failures surface as errors: the round is reported undelivered, no partial
+// result is returned and no traffic is accounted (its bytes never arrived);
+// roundTrip is not called after an encode failure. Shape violations remain
+// panics: they are caller bugs, not wire weather.
+func exchangeRange(c *cluster.Cluster, codec cluster.WireCodec, lo, hi int, out [][]*cluster.Mail,
+	roundTrip func(frames [][][]byte) ([][][]byte, error)) (in [][]*cluster.Mail, sizes [][]int, err error) {
+	p := c.P()
 	if len(out) != p {
 		panic(fmt.Sprintf("runtime: Exchange needs %d rows, got %d", p, len(out)))
 	}
 	start := time.Now()
+	defer func() { c.AccountCompute(time.Since(start)) }()
 	frames := make([][][]byte, p)
-	for src := range frames {
+	sizes = make([][]int, p)
+	for src := lo; src < hi; src++ {
 		frames[src] = make([][]byte, p)
+		sizes[src] = make([]int, p)
 		if out[src] == nil {
 			continue
 		}
@@ -59,48 +77,35 @@ func (w *Wire) Exchange(out [][]*cluster.Mail) ([][]*cluster.Mail, error) {
 			if m == nil || src == dst {
 				continue
 			}
-			frame, err := w.codec.Encode(m.Payload)
+			frame, err := codec.Encode(m.Payload)
 			if err != nil {
-				w.AccountCompute(time.Since(start))
-				return nil, fmt.Errorf("runtime: encoding %d->%d: %w", src, dst, err)
+				return nil, nil, fmt.Errorf("runtime: encoding %d->%d: %w", src, dst, err)
 			}
 			frames[src][dst] = frame
+			sizes[src][dst] = len(frame)
 		}
 	}
-	inFrames, err := w.tr.RoundTrip(frames)
+	inFrames, err := roundTrip(frames)
 	if err != nil {
-		w.AccountCompute(time.Since(start))
-		return nil, fmt.Errorf("runtime: transport round trip: %w", err)
+		return nil, nil, fmt.Errorf("runtime: transport round trip: %w", err)
 	}
-	in := make([][]*cluster.Mail, p)
-	sizes := make([][]int, p)
+	in = make([][]*cluster.Mail, p)
 	for dst := range in {
 		in[dst] = make([]*cluster.Mail, p)
 	}
-	for src := range frames {
-		sizes[src] = make([]int, p)
-		for dst, frame := range frames[src] {
-			if frame != nil {
-				sizes[src][dst] = len(frame)
-			}
-		}
-	}
-	for dst := range inFrames {
+	for dst := lo; dst < hi; dst++ {
 		for src, frame := range inFrames[dst] {
-			if frame == nil {
+			if frame == nil || src == dst {
 				continue
 			}
-			payload, err := w.codec.Decode(frame)
+			payload, err := codec.Decode(frame)
 			if err != nil {
-				w.AccountCompute(time.Since(start))
-				return nil, fmt.Errorf("runtime: decoding %d->%d: %w", src, dst, err)
+				return nil, nil, fmt.Errorf("runtime: decoding %d->%d: %w", src, dst, err)
 			}
 			in[dst][src] = &cluster.Mail{Payload: payload, Bytes: len(frame)}
 		}
 	}
-	w.AccountCompute(time.Since(start))
-	w.AccountExchange(sizes)
-	return in, nil
+	return in, sizes, nil
 }
 
 // SetObs mirrors the embedded cluster's accounting into reg and, when the
@@ -115,4 +120,3 @@ func (w *Wire) SetObs(reg *obs.Registry) {
 
 // Close tears the transport down.
 func (w *Wire) Close() error { return w.tr.Close() }
-

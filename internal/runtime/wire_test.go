@@ -45,7 +45,19 @@ func (c *chanTransport) Close() error {
 	return nil
 }
 
-// stringCodec encodes string payloads for the double.
+// oneWorkerMesh adapts the double to RemoteTransport for a lone worker
+// hosting every processor: the sequence number has no peer to agree with.
+type oneWorkerMesh struct{ *chanTransport }
+
+func (m oneWorkerMesh) RoundTrip(_ uint32, frames [][][]byte) ([][][]byte, error) {
+	return m.chanTransport.RoundTrip(frames)
+}
+
+// AllGather is unused by Exchange.
+func (oneWorkerMesh) AllGather(uint32, []byte) ([][]byte, error) { return nil, nil }
+
+// stringCodec encodes string payloads for the double. The payload "!decode"
+// encodes fine and fails to decode.
 type stringCodec struct{}
 
 func (stringCodec) Encode(p any) ([]byte, error) {
@@ -56,7 +68,90 @@ func (stringCodec) Encode(p any) ([]byte, error) {
 	return []byte(s), nil
 }
 
-func (stringCodec) Decode(frame []byte) (any, error) { return string(frame), nil }
+func (stringCodec) Decode(frame []byte) (any, error) {
+	if string(frame) == "!decode" {
+		return nil, fmt.Errorf("injected decode failure")
+	}
+	return string(frame), nil
+}
+
+// TestWireEqualsRemoteOverFullRange states the contract of the exchange
+// helper both wire runtimes share: over the full processor range Wire and
+// Remote deliver the same payloads and account the same traffic, and a failed
+// round — encode, decode or transport — returns no partial result and charges
+// no traffic on either.
+func TestWireEqualsRemoteOverFullRange(t *testing.T) {
+	const p = 3
+	for _, tc := range []struct {
+		name     string
+		poison   any  // replaces the 0->2 payload when non-nil
+		failTr   bool // the transport fails the round
+		wantFail bool
+	}{
+		{name: "delivered"},
+		{name: "encode error", poison: 42, wantFail: true},
+		{name: "decode error", poison: "!decode", wantFail: true},
+		{name: "transport error", failTr: true, wantFail: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out := make([][]*cluster.Mail, p)
+			for src := range out {
+				out[src] = make([]*cluster.Mail, p)
+				for dst := range out[src] {
+					if src != dst && (src+dst)%2 == 0 || src == 1 {
+						out[src][dst] = &cluster.Mail{Payload: fmt.Sprintf("%d->%d", src, dst), Bytes: 999}
+					}
+				}
+			}
+			if tc.poison != nil {
+				out[0][2].Payload = tc.poison
+			}
+			wire := NewWire(p, model(p), stringCodec{}, &chanTransport{n: p, fail: tc.failTr})
+			remote, err := NewRemote(p, 0, p, model(p), stringCodec{}, oneWorkerMesh{&chanTransport{n: p, fail: tc.failTr}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			results := map[string][][]*cluster.Mail{}
+			for name, rt := range map[string]Runtime{"wire": wire, "remote": remote} {
+				in, err := rt.Exchange(out)
+				if tc.wantFail {
+					if err == nil || in != nil {
+						t.Fatalf("%s: failed round returned in=%v err=%v, want nil result and an error", name, in, err)
+					}
+					if st := rt.Stats(); st.BytesSent != 0 || st.MessagesSent != 0 || st.ExchangeRounds != 0 {
+						t.Fatalf("%s: failed round charged traffic: %+v", name, st)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				results[name] = in
+			}
+			if tc.wantFail {
+				return
+			}
+			for dst := 0; dst < p; dst++ {
+				for src := 0; src < p; src++ {
+					w, r := results["wire"][dst][src], results["remote"][dst][src]
+					if (w == nil) != (r == nil) || (out[src][dst] == nil || src == dst) != (w == nil) {
+						t.Fatalf("cell %d->%d: wire %v, remote %v, sent %v", src, dst, w, r, out[src][dst])
+					}
+					if w != nil && (*w != *r || w.Payload != out[src][dst].Payload) {
+						t.Fatalf("cell %d->%d: wire %+v, remote %+v, sent %q", src, dst, *w, *r, out[src][dst].Payload)
+					}
+				}
+			}
+			ws, rs := wire.Stats(), remote.Stats()
+			if ws.BytesSent != rs.BytesSent || ws.MessagesSent != rs.MessagesSent || ws.ExchangeRounds != rs.ExchangeRounds {
+				t.Fatalf("stats differ: wire %+v, remote %+v", ws, rs)
+			}
+			if ws.MessagesSent == 0 || ws.ExchangeRounds != 1 {
+				t.Fatalf("delivered round not accounted: %+v", ws)
+			}
+		})
+	}
+}
 
 func TestWireExchangeRoutesAndAccounts(t *testing.T) {
 	tr := &chanTransport{n: 3}

@@ -30,14 +30,6 @@ go test -run '^$' -bench "$PATTERN" -benchmem -benchtime "$BENCHTIME" . | tee "$
 echo
 
 awk -v baseline="$BASELINE" '
-BEGIN {
-    # The workers=1 sweep points must compile to the sequential path: compare
-    # them against the corresponding sequential benchmark in the baseline so
-    # a pool-mode overhead on one core shows up as a regression here.
-    alias["BenchmarkIAParallel/W1"]           = "BenchmarkAblationIAPhase"
-    alias["BenchmarkInstallRelaxParallel/W1"] = "BenchmarkAblationRCStep"
-    alias["BenchmarkFig4Workers/W1"]          = "BenchmarkFig4/AnytimeRoundRobin"
-}
 # Pass 1: the baseline JSON (one benchmark object per line).
 FILENAME == baseline && /"name":/ {
     line = $0
@@ -78,21 +70,16 @@ END {
     warned = 0
     for (i = 1; i <= n; i++) {
         name = order[i]
-        ref = name
-        if (!(ref in base_ns) && (name in alias) && (alias[name] in base_ns))
-            ref = alias[name]
-        if (!(ref in base_ns)) {
+        if (!(name in base_ns)) {
             printf "%-42s %14s %14s %9s %12s %12s %9s\n", \
                 name, "-", new_ns[name], "new", "-", new_allocs[name], "new"
             continue
         }
-        label = name
-        if (ref != name) label = name " (vs " ref ")"
         printf "%-42s %14s %14s %9s %12s %12s %9s\n", \
-            label, base_ns[ref], new_ns[name], pct(base_ns[ref], new_ns[name]), \
-            base_allocs[ref], new_allocs[name], pct(base_allocs[ref], new_allocs[name])
-        if (base_ns[ref] + 0 > 0 && (new_ns[name] - base_ns[ref]) / base_ns[ref] > 0.20) {
-            warn[++warned] = label
+            name, base_ns[name], new_ns[name], pct(base_ns[name], new_ns[name]), \
+            base_allocs[name], new_allocs[name], pct(base_allocs[name], new_allocs[name])
+        if (base_ns[name] + 0 > 0 && (new_ns[name] - base_ns[name]) / base_ns[name] > 0.20) {
+            warn[++warned] = name
         }
     }
     for (i = 1; i <= warned; i++)
