@@ -8,12 +8,18 @@ package aacc
 
 import (
 	"bytes"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
 	"aacc/internal/centrality"
 	"aacc/internal/changelog"
 	"aacc/internal/core"
+	"aacc/internal/experiments"
 	"aacc/internal/gen"
 	"aacc/internal/graph"
 	"aacc/internal/runtime"
@@ -171,4 +177,101 @@ func TestIntegrationWireLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertOracle(t, e, "wire lifecycle")
+}
+
+// TestDocsNameOnlyWhatExists: the docs, the verify skill, the Makefile and CI
+// cite scripts, make targets, benchmarks, packages and experiment ids by
+// name, and three files declare a Go version. Every cited name must exist
+// and the versions must agree, so deleting or renaming one cannot leave a
+// dangling citation behind.
+func TestDocsNameOnlyWhatExists(t *testing.T) {
+	read := func(path string) string {
+		t.Helper()
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	submatches := func(re, text string) []string {
+		var out []string
+		for _, m := range regexp.MustCompile(re).FindAllStringSubmatch(text, -1) {
+			out = append(out, m[1])
+		}
+		return out
+	}
+
+	// Benchmarks of the root module and of the nested bench/ module.
+	var benchmarks []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return fs.SkipDir // .git, .bench_build
+		}
+		if strings.HasSuffix(path, "_test.go") {
+			benchmarks = append(benchmarks, submatches(`(?m)^func (Benchmark\w+)\(`, read(path))...)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	makefile, ci := read("Makefile"), read(".github/workflows/ci.yml")
+	targets := submatches(`(?m)^([a-z][\w-]*):`, makefile)
+
+	isFile := func(p string) bool { st, err := os.Stat(p); return err == nil && st.Mode().IsRegular() }
+	isDir := func(p string) bool { st, err := os.Stat(p); return err == nil && st.IsDir() }
+	checks := []struct {
+		what, re string
+		ok       func(string) bool
+	}{
+		{"script", `(scripts/[\w-]+\.sh)`, isFile},
+		{"make target", "(?:`|run: )make ([a-z][\\w-]*)", func(s string) bool { return slices.Contains(targets, s) }},
+		{"benchmark", `\b(Benchmark[A-Z]\w*)`, func(s string) bool { return slices.Contains(benchmarks, s) }},
+		{"package", `\b(internal/[a-z]\w*)`, isDir},
+	}
+	ids := experiments.IDs()
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md", "Makefile", ".github/workflows/ci.yml"} {
+		text := read(doc)
+		for _, c := range checks {
+			for _, name := range submatches(c.re, text) {
+				if !c.ok(name) {
+					t.Errorf("%s cites %s %q, which does not exist", doc, c.what, name)
+				}
+			}
+		}
+		// -experiment takes one id, a comma list, or a first..last range;
+		// <id> and a trailing ... are placeholders.
+		for _, arg := range submatches("(?:^|[\\s`(])-experiment ([\\w.,<>]+)", text) {
+			for _, id := range strings.FieldsFunc(arg, func(r rune) bool { return r == ',' || r == '.' }) {
+				if !strings.HasPrefix(id, "<") && !slices.Contains(ids, id) {
+					t.Errorf("%s cites experiment %q, which is not registered", doc, id)
+				}
+			}
+		}
+	}
+
+	goLine := func(path string) string {
+		t.Helper()
+		v := submatches(`(?m)^go (\S+)$`, read(path))
+		if len(v) != 1 {
+			t.Fatalf("%s: %d go lines", path, len(v))
+		}
+		return v[0]
+	}
+	want := goLine("go.mod")
+	if got := goLine("bench/go.mod"); got != want {
+		t.Errorf("bench/go.mod says go %s, go.mod says go %s", got, want)
+	}
+	pins := submatches(`go-version: "?([\d.]+)"?`, ci)
+	if len(pins) == 0 {
+		t.Error("ci.yml pins no go-version")
+	}
+	for _, v := range pins {
+		if v != want {
+			t.Errorf("ci.yml pins go-version %s, go.mod says go %s", v, want)
+		}
+	}
 }

@@ -115,11 +115,6 @@ type Options struct {
 	// ErrorOnFull fails fast with ErrQueueFull. The policy applies to
 	// Enqueue; the synchronous ApplyBatch and Flush always wait for a slot.
 	IngestPolicy QueuePolicy
-
-	// Coalesce selects the dequeue-time coalescing tier (default
-	// core.CoalesceExact — only bit-identity-preserving merges; see
-	// core.CoalesceMode).
-	Coalesce core.CoalesceMode
 }
 
 // Snapshot is an immutable view of the analysis at one step boundary.

@@ -225,7 +225,7 @@ func (s *Session) ingest(first *ingestOp) {
 // ops still apply.
 func (s *Session) applyIngest(muts []core.Mutation, orig []*core.Mutation) []error {
 	start := time.Now()
-	units := core.Coalesce(muts, s.opts.Coalesce, s.eng.Graph())
+	units := core.Coalesce(muts)
 	errs := make([]error, len(muts))
 	i := 0
 	for i < len(units) {

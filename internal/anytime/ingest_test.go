@@ -207,76 +207,6 @@ func TestSessionIngestMatchesSequentialOracle(t *testing.T) {
 	}
 }
 
-// TestSessionIngestAggressiveTier: with opt-in aggressive coalescing the
-// per-epoch bit-identity guarantee is relaxed, but the final graph and the
-// converged distances must still match the sequential oracle exactly.
-func TestSessionIngestAggressiveTier(t *testing.T) {
-	const n, p = 50, 4
-	g := testGraph(n)
-	ref := g.Clone()
-	rng := rand.New(rand.NewSource(99))
-
-	s := mustSession(t, g, Options{
-		StartPaused: true,
-		Coalesce:    core.CoalesceAggressive,
-		IngestQueue: 64,
-		Engine:      core.Options{P: p, Seed: 7},
-	})
-	oracle, err := core.New(ref, core.Options{P: p, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer oracle.Close()
-
-	// Stall the loop so the whole stream lands in one drain — including
-	// add-then-delete pairs and repeated weight sets, the aggressive tier's
-	// cancellation and last-write fodder.
-	entered, stall := make(chan struct{}), make(chan struct{})
-	go s.do("stall", func() error { close(entered); <-stall; return nil })
-	<-entered
-	var ops []core.Mutation
-	push := func(m core.Mutation) {
-		if err := s.Enqueue(m); err != nil {
-			t.Fatal(err)
-		}
-		ops = append(ops, m)
-	}
-	push(core.EdgeAdd(graph.EdgeTriple{U: 1, V: 47, W: 3}))
-	push(core.EdgeDeleteEager([2]graph.ID{1, 47}))
-	push(core.WeightSet(0, 1, 5))
-	push(core.WeightSet(0, 1, 2))
-	var known [][2]graph.ID
-	for _, ed := range oracle.Graph().Edges() {
-		known = append(known, [2]graph.ID{ed.U, ed.V})
-	}
-	for i := 0; i < 20; i++ {
-		push(randomMutation(rng, n, known))
-	}
-	close(stall)
-	if err := s.Flush(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range ops {
-		oracleApply(t, oracle, m)
-	}
-	sn := s.Snapshot()
-	if sn.NumEdges != oracle.Graph().NumEdges() || sn.NumVertices != oracle.Graph().NumVertices() {
-		t.Fatalf("graph diverged: %d vertices / %d edges, oracle %d / %d",
-			sn.NumVertices, sn.NumEdges, oracle.Graph().NumVertices(), oracle.Graph().NumEdges())
-	}
-	if err := s.Resume(); err != nil {
-		t.Fatal(err)
-	}
-	final, err := s.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := oracle.Run(); err != nil {
-		t.Fatal(err)
-	}
-	sameRows(t, snapshotRows(final), oracle.Distances())
-}
-
 // TestSessionIngestErrorOnFull: under the fail-fast policy a stalled
 // session rejects the overflow op with ErrQueueFull, every accepted op
 // still applies exactly once, and the queue-depth gauge tracks fill and

@@ -1,6 +1,7 @@
 package centrality
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -53,7 +54,7 @@ func TestTopKClamp(t *testing.T) {
 	}
 }
 
-func topkTestGraph(t *testing.T, n int, maxW int32) (*graph.Graph, map[graph.ID][]int32) {
+func topkTestGraph(t testing.TB, n int, maxW int32) (*graph.Graph, map[graph.ID][]int32) {
 	t.Helper()
 	g := gen.BarabasiAlbert(n, 2, 99, gen.Config{MaxWeight: maxW})
 	return g, sssp.APSP(g, 1)
@@ -269,4 +270,39 @@ func TestMinEdgeWeight(t *testing.T) {
 	if w := MinEdgeWeight(g); w != 3 {
 		t.Fatalf("min weight %d, want 3", w)
 	}
+}
+
+// BenchmarkTopKQuery compares bound-based top-k serving against the full
+// FromDistances-scan path it replaces, on converged distances. The bound
+// index aggregates rows incrementally at publish time, so answering a query
+// is O(n log k) ranking work; the full scan re-aggregates every O(n²)
+// distance entry per query. Build measures the one-off full-pass cost of
+// the index itself.
+func BenchmarkTopKQuery(b *testing.B) {
+	g, dist := topkTestGraph(b, 600, 1)
+	live, width := g.Vertices(), g.NumIDs()
+	bs := NewBoundState(dist, live, width, MinEdgeWeight(g))
+	for _, k := range []int{8, 32} {
+		b.Run(fmt.Sprintf("Bound/K%d", k), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res := bs.TopK(k, true)
+				if len(res.Entries) != k {
+					b.Fatalf("%d entries, want %d", len(res.Entries), k)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("FullScan/K%d", k), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				s := FromDistances(dist, live, width)
+				if ids := TopK(s, s.Harmonic, k); len(ids) != k {
+					b.Fatalf("%d ids, want %d", len(ids), k)
+				}
+			}
+		})
+	}
+	b.Run("Build", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			bs = NewBoundState(dist, live, width, MinEdgeWeight(g))
+		}
+	})
 }

@@ -244,3 +244,36 @@ func TestPropertyEagerDeletionInterleaved(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkCheckpoint measures checkpoint serialisation and restore of a
+// converged engine.
+func BenchmarkCheckpoint(b *testing.B) {
+	e, err := New(gen.BarabasiAlbert(600, 2, 42, gen.Config{}), Options{P: 8, Seed: 42})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close()
+	if _, err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("Write", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			var buf bytes.Buffer
+			if err := e.WriteCheckpoint(&buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	var buf bytes.Buffer
+	if err := e.WriteCheckpoint(&buf); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	b.Run("Load", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := LoadCheckpoint(bytes.NewReader(data), Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

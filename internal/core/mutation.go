@@ -315,25 +315,6 @@ func DecomposeWeightSet(u, v graph.ID, w int32, eager bool) [2]Mutation {
 	return [2]Mutation{del, {Kind: MutEdgeAdd, Edges: []graph.EdgeTriple{{U: u, V: v, W: w}}}}
 }
 
-// CoalesceMode selects how aggressively Coalesce merges neighbouring ops.
-type CoalesceMode uint8
-
-const (
-	// CoalesceExact (the default) performs only transformations that are
-	// bit-for-bit identical to the one-op-at-a-time schedule: adjacent
-	// edge-addition ops merge into one batch (MutEdgeAdd applies edges
-	// strictly one at a time in input order, so concatenation is the
-	// identity transform on the resulting distance state).
-	CoalesceExact CoalesceMode = iota
-	// CoalesceAggressive additionally dedupes runs of adjacent weight
-	// changes to the last write per edge and cancels add-then-delete pairs
-	// of an edge absent from the live graph. These transforms preserve the
-	// final graph and the converged distances but NOT the intermediate
-	// partial bounds (see DESIGN.md §11 for the counterexamples), so they
-	// are opt-in.
-	CoalesceAggressive
-)
-
 // ApplyUnit is one element of a coalesced schedule: a mutation to apply and
 // the contiguous range of input ops it stands for. Units partition the input
 // slice: unit i covers ops [First, First+Count).
@@ -344,157 +325,33 @@ type ApplyUnit struct {
 }
 
 // Coalesce turns an ordered op stream into a (shorter) schedule of apply
-// units. g is the live graph the batch will be applied to (used only by the
-// aggressive tier's cancellation rule; may be nil, disabling cancellation).
-// The input ops are not modified; merged units carry freshly allocated
-// payloads.
-func Coalesce(ops []Mutation, mode CoalesceMode, g graph.View) []ApplyUnit {
+// units by merging adjacent edge-addition ops into one batch. MutEdgeAdd
+// applies edges strictly one at a time in input order, so concatenation is
+// bit-for-bit identical to the one-op-at-a-time schedule. The input ops are
+// not modified; merged units carry freshly allocated payloads.
+func Coalesce(ops []Mutation) []ApplyUnit {
 	units := make([]ApplyUnit, 0, len(ops))
 	for i := 0; i < len(ops); {
-		switch ops[i].Kind {
-		case MutEdgeAdd:
-			j := i + 1
+		j := i + 1
+		if ops[i].Kind == MutEdgeAdd {
 			for j < len(ops) && ops[j].Kind == MutEdgeAdd {
 				j++
 			}
-			if j-i == 1 {
-				units = append(units, ApplyUnit{Mut: ops[i], First: i, Count: 1})
-			} else {
-				n := 0
-				for k := i; k < j; k++ {
-					n += len(ops[k].Edges)
-				}
-				merged := make([]graph.EdgeTriple, 0, n)
-				for k := i; k < j; k++ {
-					merged = append(merged, ops[k].Edges...)
-				}
-				units = append(units, ApplyUnit{
-					Mut:   Mutation{Kind: MutEdgeAdd, Edges: merged},
-					First: i,
-					Count: j - i,
-				})
-			}
-			i = j
-		case MutSetWeight:
-			if mode != CoalesceAggressive {
-				units = append(units, ApplyUnit{Mut: ops[i], First: i, Count: 1})
-				i++
-				continue
-			}
-			j := i + 1
-			for j < len(ops) && ops[j].Kind == MutSetWeight {
-				j++
-			}
-			if j-i == 1 {
-				units = append(units, ApplyUnit{Mut: ops[i], First: i, Count: 1})
-			} else {
-				units = append(units, ApplyUnit{
-					Mut:   Mutation{Kind: MutSetWeight, Edges: lastWritePerEdge(ops[i:j])},
-					First: i,
-					Count: j - i,
-				})
-			}
-			i = j
-		default:
-			units = append(units, ApplyUnit{Mut: ops[i], First: i, Count: 1})
-			i++
 		}
-	}
-	if mode == CoalesceAggressive && g != nil {
-		cancelAddDelete(units, g)
+		mut := ops[i]
+		if j-i > 1 {
+			n := 0
+			for k := i; k < j; k++ {
+				n += len(ops[k].Edges)
+			}
+			merged := make([]graph.EdgeTriple, 0, n)
+			for k := i; k < j; k++ {
+				merged = append(merged, ops[k].Edges...)
+			}
+			mut = Mutation{Kind: MutEdgeAdd, Edges: merged}
+		}
+		units = append(units, ApplyUnit{Mut: mut, First: i, Count: j - i})
+		i = j
 	}
 	return units
-}
-
-// lastWritePerEdge flattens a run of MutSetWeight ops and keeps only the last
-// write per canonical edge, preserving the order of the surviving writes.
-// Sequentially the earlier writes would be overwritten anyway; the final
-// graph and converged distances are unchanged (intermediate bounds may be).
-func lastWritePerEdge(run []Mutation) []graph.EdgeTriple {
-	var flat []graph.EdgeTriple
-	for k := range run {
-		flat = append(flat, run[k].Edges...)
-	}
-	last := make(map[[2]graph.ID]int, len(flat))
-	for idx, ed := range flat {
-		last[canonPair(ed.U, ed.V)] = idx
-	}
-	out := make([]graph.EdgeTriple, 0, len(last))
-	for idx, ed := range flat {
-		if last[canonPair(ed.U, ed.V)] == idx {
-			out = append(out, ed)
-		}
-	}
-	return out
-}
-
-// cancelAddDelete implements the aggressive tier's add-then-delete rule: for
-// consecutive units (edge-add, edge-delete), an edge that (a) is absent from
-// the live graph, (b) is referenced by no other unit of the schedule, and
-// (c) appears in both units, is removed from both — sequentially it would be
-// inserted and immediately removed, leaving the graph unchanged. Units whose
-// payloads empty out become no-ops at apply time.
-func cancelAddDelete(units []ApplyUnit, g graph.View) {
-	refs := make(map[[2]graph.ID]int)
-	note := func(u, v graph.ID) { refs[canonPair(u, v)]++ }
-	for i := range units {
-		switch units[i].Mut.Kind {
-		case MutEdgeAdd, MutSetWeight:
-			for _, ed := range units[i].Mut.Edges {
-				note(ed.U, ed.V)
-			}
-		case MutEdgeDelete, MutEdgeDeleteEager:
-			for _, p := range units[i].Mut.Pairs {
-				note(p[0], p[1])
-			}
-		}
-	}
-	for i := 0; i+1 < len(units); i++ {
-		add, del := &units[i].Mut, &units[i+1].Mut
-		if add.Kind != MutEdgeAdd {
-			continue
-		}
-		if del.Kind != MutEdgeDelete && del.Kind != MutEdgeDeleteEager {
-			continue
-		}
-		added := make(map[[2]graph.ID]bool, len(add.Edges))
-		for _, ed := range add.Edges {
-			added[canonPair(ed.U, ed.V)] = true
-		}
-		cancel := make(map[[2]graph.ID]bool)
-		for _, p := range del.Pairs {
-			cp := canonPair(p[0], p[1])
-			// refs counts the add unit's and the delete unit's own
-			// references; anything beyond those two means another op in
-			// this schedule touches the edge and cancellation could
-			// reorder across it.
-			if added[cp] && !g.HasEdge(p[0], p[1]) && refs[cp] == 2 {
-				cancel[cp] = true
-			}
-		}
-		if len(cancel) == 0 {
-			continue
-		}
-		keepE := make([]graph.EdgeTriple, 0, len(add.Edges))
-		for _, ed := range add.Edges {
-			if !cancel[canonPair(ed.U, ed.V)] {
-				keepE = append(keepE, ed)
-			}
-		}
-		add.Edges = keepE
-		keepP := make([][2]graph.ID, 0, len(del.Pairs))
-		for _, p := range del.Pairs {
-			if !cancel[canonPair(p[0], p[1])] {
-				keepP = append(keepP, p)
-			}
-		}
-		del.Pairs = keepP
-	}
-}
-
-func canonPair(u, v graph.ID) [2]graph.ID {
-	if u > v {
-		u, v = v, u
-	}
-	return [2]graph.ID{u, v}
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // identicalDistances asserts two engines hold bit-for-bit equal distance
-// state — the correctness bar for every coalescing transform in the exact
-// tier, checked mid-stream (not merely at convergence).
+// state — the correctness bar for every coalescing transform, checked
+// mid-stream (not merely at convergence).
 func identicalDistances(t *testing.T, got, want *Engine) {
 	t.Helper()
 	gd, wd := got.Distances(), want.Distances()
@@ -63,9 +63,9 @@ func TestEdgeAddBatchEqualsSingletonSequence(t *testing.T) {
 	checkExact(t, a)
 }
 
-// The exact coalescing tier merges adjacent edge-add ops; the resulting
-// schedule must be bit-identical to the unmerged one-op-at-a-time stream at
-// the moment the batch lands (not just at convergence).
+// Coalesce merges adjacent edge-add ops; the resulting schedule must be
+// bit-identical to the unmerged one-op-at-a-time stream at the moment the
+// batch lands (not just at convergence).
 func TestCoalesceExactBitIdentical(t *testing.T) {
 	a, b := enginePair(t, 70, 4)
 	defer a.Close()
@@ -83,7 +83,7 @@ func TestCoalesceExactBitIdentical(t *testing.T) {
 		WeightSet(2, 47, 4),
 		EdgeAdd(graph.EdgeTriple{U: 9, V: 63, W: 1}),
 	}
-	units := Coalesce(ops, CoalesceExact, a.Graph())
+	units := Coalesce(ops)
 	// The first four ops are one merged unit; the rest stay singletons.
 	if len(units) != 5 || units[0].Count != 4 || units[0].First != 0 {
 		t.Fatalf("unexpected exact schedule: %+v", units)
@@ -114,97 +114,6 @@ func TestCoalesceExactBitIdentical(t *testing.T) {
 	identicalDistances(t, a, b)
 	mustRun(t, a)
 	checkExact(t, a)
-}
-
-// The aggressive tier trades mid-stream bit-identity for throughput: it must
-// still preserve the final graph exactly and converge to the same (exact)
-// distances as the sequential schedule.
-func TestCoalesceAggressiveGraphAndConvergedIdentity(t *testing.T) {
-	a, b := enginePair(t, 60, 4)
-	defer a.Close()
-	defer b.Close()
-	mustRun(t, a)
-	mustRun(t, b)
-
-	// Pick an edge that exists for weight churn and a pair that does not
-	// exist for the add-then-delete cancellation.
-	var have graph.EdgeTriple
-	for _, ed := range a.Graph().Edges() {
-		have = ed
-		break
-	}
-	u := graph.ID(0)
-	v := absentEdge(t, a, u, 40)
-	ops := []Mutation{
-		WeightSet(have.U, have.V, have.W+2),
-		WeightSet(have.U, have.V, have.W+5),
-		WeightSet(have.U, have.V, have.W+1), // run dedupes to this write
-		EdgeAdd(graph.EdgeTriple{U: u, V: v, W: 2}),
-		EdgeDeleteEager([2]graph.ID{u, v}), // cancels against the add
-	}
-	units := Coalesce(ops, CoalesceAggressive, a.Graph())
-	if len(units[0].Mut.Edges) != 1 || units[0].Mut.Edges[0].W != have.W+1 {
-		t.Fatalf("weight run not deduped to last write: %+v", units[0].Mut.Edges)
-	}
-	if len(units[1].Mut.Edges) != 0 || len(units[2].Mut.Pairs) != 0 {
-		t.Fatalf("add-then-delete pair not cancelled: %+v", units[1:])
-	}
-	batch := &Batch{Ops: make([]Mutation, len(units))}
-	for i, un := range units {
-		batch.Ops[i] = un.Mut
-	}
-	if err := a.ApplyBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-	for i := range ops {
-		if err := b.ApplyBatch(&Batch{Ops: []Mutation{ops[i]}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ae, be := a.Graph().Edges(), b.Graph().Edges()
-	if !reflect.DeepEqual(ae, be) {
-		t.Fatalf("aggressive schedule changed the graph:\n got %v\nwant %v", ae, be)
-	}
-	mustRun(t, a)
-	mustRun(t, b)
-	checkExact(t, a)
-	checkExact(t, b)
-	identicalDistances(t, a, b)
-}
-
-// The aggressive cancellation rule must NOT fire when the edge already
-// exists in the live graph (the delete then targets the pre-existing edge)
-// or when another op in the schedule references the same pair.
-func TestCoalesceAggressiveCancellationGuards(t *testing.T) {
-	g := gen.BarabasiAlbert(40, 2, 3, gen.Config{MaxWeight: 3})
-	e := mustEngine(t, g, 2)
-	defer e.Close()
-	var have graph.EdgeTriple
-	for _, ed := range e.Graph().Edges() {
-		have = ed
-		break
-	}
-	// Existing edge: add (weight change) then delete must both survive.
-	ops := []Mutation{
-		EdgeAdd(graph.EdgeTriple{U: have.U, V: have.V, W: 1}),
-		EdgeDeleteEager([2]graph.ID{have.U, have.V}),
-	}
-	units := Coalesce(ops, CoalesceAggressive, e.Graph())
-	if len(units[0].Mut.Edges) != 1 || len(units[1].Mut.Pairs) != 1 {
-		t.Fatalf("cancellation fired on a live edge: %+v", units)
-	}
-	// Absent edge but referenced by a third op: must survive too.
-	u := graph.ID(0)
-	v := absentEdge(t, e, u, 20)
-	ops = []Mutation{
-		EdgeAdd(graph.EdgeTriple{U: u, V: v, W: 2}),
-		EdgeDeleteEager([2]graph.ID{u, v}),
-		EdgeAdd(graph.EdgeTriple{U: u, V: v, W: 3}),
-	}
-	units = Coalesce(ops, CoalesceAggressive, e.Graph())
-	if len(units[0].Mut.Edges) != 1 || len(units[1].Mut.Pairs) != 1 {
-		t.Fatalf("cancellation fired across a third reference: %+v", units)
-	}
 }
 
 // DecomposeWeightSet is the one shared source of the weight-increase

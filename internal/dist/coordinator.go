@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -59,10 +60,20 @@ func (c Config) withDefaults() Config {
 		c.JoinTimeout = 2 * time.Minute
 	}
 	if c.Logger == nil {
-		c.Logger = slog.New(slog.DiscardHandler)
+		c.Logger = slog.New(discardHandler{})
 	}
 	return c
 }
+
+// discardHandler is the never-enabled handler behind a nil Config.Logger:
+// Enabled reports false, so a log call returns before building its record.
+// The standard library's equivalent needs go 1.24; go.mod declares 1.22.
+type discardHandler struct{}
+
+func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
+func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
+func (d discardHandler) WithGroup(string) slog.Handler           { return d }
 
 // commandTimeout bounds one read on a control connection while a command is
 // in flight. The slowest legitimate gap between worker messages is a mesh

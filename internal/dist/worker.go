@@ -62,7 +62,7 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 		c.DialTimeout = 30 * time.Second
 	}
 	if c.Logger == nil {
-		c.Logger = slog.New(slog.DiscardHandler)
+		c.Logger = slog.New(discardHandler{})
 	}
 	if c.Partitioner == nil {
 		c.Partitioner = partition.Multilevel{Seed: c.Seed}

@@ -207,3 +207,20 @@ func TestPropertyGrowPreservesEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkStoreGrow measures the amortised-doubling column growth the
+// paper's vertex-addition analysis charges O(x·n) for: 64 one-column grows
+// of a 75-row store that starts 600 wide.
+func BenchmarkStoreGrow(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s := NewStore(600)
+		for v := int32(0); v < 75; v++ {
+			s.AddRow(v)
+		}
+		b.StartTimer()
+		for w := 601; w <= 664; w++ {
+			s.Grow(w)
+		}
+	}
+}
