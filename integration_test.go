@@ -8,6 +8,8 @@ package aacc
 
 import (
 	"bytes"
+	"errors"
+	"flag"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -18,6 +20,7 @@ import (
 
 	"aacc/internal/centrality"
 	"aacc/internal/changelog"
+	"aacc/internal/cli"
 	"aacc/internal/core"
 	"aacc/internal/experiments"
 	"aacc/internal/gen"
@@ -248,6 +251,72 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 			for _, id := range strings.FieldsFunc(arg, func(r rune) bool { return r == ',' || r == '.' }) {
 				if !strings.HasPrefix(id, "<") && !slices.Contains(ids, id) {
 					t.Errorf("%s cites experiment %q, which is not registered", doc, id)
+				}
+			}
+		}
+	}
+
+	// Metric families cited in the docs and smoke scripts are registered by
+	// the program. Prefixes ending in "_" (the aacc_engine_* and
+	// aacc_cluster_worker_{up,...} shorthands) and grep anchors (^aacc_...)
+	// are not family names.
+	var code strings.Builder
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (path == "bench" || path != "." && strings.HasPrefix(d.Name(), ".")) {
+			return fs.SkipDir
+		}
+		if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+			code.WriteString(read(path))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scripts, err := filepath.Glob("scripts/*.sh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range append([]string{"README.md", "DESIGN.md"}, scripts...) {
+		for _, m := range regexp.MustCompile(`(\^?)(aacc_[a-z_]+)`).FindAllStringSubmatch(read(doc), -1) {
+			fam := m[2]
+			if m[1] != "" || strings.HasSuffix(fam, "_") {
+				continue
+			}
+			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+				fam = strings.TrimSuffix(fam, suffix)
+			}
+			if !strings.Contains(code.String(), `"`+fam+`"`) && !strings.Contains(code.String(), `"`+m[2]+`"`) {
+				t.Errorf("%s cites metric %q, which no program file registers", doc, m[2])
+			}
+		}
+	}
+
+	// Every -flag on an aacc command line in README.md or a smoke script is
+	// one cli.Analysis defines.
+	var help bytes.Buffer
+	if err := cli.Analysis([]string{"-help"}, &help); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("aacc -help: %v", err)
+	}
+	flags := submatches(`(?m)^\s+-([\w-]+)`, help.String())
+	command := regexp.MustCompile("(?:(?:^|[\\s(`/])aacc|\"\\$BIN\")\\s")
+	for _, doc := range append([]string{"README.md"}, scripts...) {
+		for _, line := range strings.Split(strings.ReplaceAll(read(doc), "\\\n", " "), "\n") {
+			loc := command.FindStringIndex(line)
+			if loc == nil {
+				continue
+			}
+			rest := line[loc[1]:]
+			if i := strings.IndexAny(rest, "|>&;`#"); i >= 0 {
+				rest = rest[:i]
+			}
+			for _, tok := range strings.Fields(rest) {
+				name, ok := strings.CutPrefix(tok, "-")
+				if ok && name != "" && name[0] >= 'a' && name[0] <= 'z' && !slices.Contains(flags, name) {
+					t.Errorf("%s runs aacc with %s, which is not a flag: %s", doc, tok, strings.TrimSpace(line))
 				}
 			}
 		}

@@ -37,7 +37,6 @@ import (
 	"aacc/internal/dv"
 	"aacc/internal/graph"
 	"aacc/internal/obs"
-	"aacc/internal/trace"
 )
 
 // ErrClosed is returned by session operations after Close (or after the
@@ -72,8 +71,9 @@ var _ Engine = (*core.Engine)(nil)
 type Options struct {
 	// Engine configures the wrapped engine (P, partitioner, model, ...).
 	// Engine.MaxSteps is ignored; use StepBudget instead. Engine.Tracer,
-	// if set, additionally receives the session's epoch/mutation/query
-	// events (emitted from the orchestration goroutine).
+	// if set, additionally receives the session's session.publish (one per
+	// epoch) and session.apply (one per ingest drain) spans, emitted from
+	// the orchestration goroutine.
 	Engine core.Options
 
 	// PublishEvery publishes a snapshot every k RC steps (default 1).
@@ -215,10 +215,9 @@ type command struct {
 type Session struct {
 	eng     Engine
 	opts    Options
-	tracer  core.Tracer
 	om      *sessionObs   // live metrics, nil unless Options.Engine.Obs was set
 	rec     *obs.Recorder // flight recorder, nil-safe
-	spans   obs.SpanSink  // tracer's span sink, nil when tracing is off
+	spans   obs.SpanSink  // Options.Engine.Tracer, nil when tracing is off
 	started time.Time     // deadline gauge reference point
 
 	cancel context.CancelFunc
@@ -296,7 +295,7 @@ func NewWith(ctx context.Context, eng Engine, opts Options) (*Session, error) {
 	s := &Session{
 		eng:     eng,
 		opts:    opts,
-		tracer:  opts.Engine.Tracer,
+		spans:   opts.Engine.Tracer,
 		cancel:  cancel,
 		cmds:    make(chan *command),
 		mq:      make(chan *ingestOp, opts.IngestQueue),
@@ -308,7 +307,6 @@ func NewWith(ctx context.Context, eng Engine, opts Options) (*Session, error) {
 		s.om = newSessionObs(opts.Engine.Obs, opts)
 	}
 	s.rec = opts.Engine.Obs.Events()
-	s.spans = obs.SinkOf(opts.Engine.Tracer)
 	s.baseStep = eng.StepCount()
 	s.publish() // epoch 1: the IA phase's local shortest paths
 	if reg := opts.Engine.Obs; reg != nil {
@@ -322,10 +320,10 @@ func NewWith(ctx context.Context, eng Engine, opts Options) (*Session, error) {
 	return s, nil
 }
 
-// traceKey returns the correlation key for spans/events the session emits:
-// the engine's current span key (a distributed coordinator reports its
-// command/round seq, so session events line up with per-worker spans), or
-// the step count for engines that don't expose one.
+// traceKey returns the correlation key for spans and recorder events the
+// session emits: the engine's current span key (a distributed coordinator
+// reports its command/round seq, so session events line up with per-worker
+// spans), or the step count for engines that don't expose one.
 func (s *Session) traceKey() uint64 {
 	if k, ok := s.eng.(interface{ SpanKey() uint64 }); ok {
 		return k.SpanKey()
@@ -431,9 +429,6 @@ func (s *Session) loop(ctx context.Context) {
 		if s.dirty {
 			s.publish()
 		}
-		if s.tracer != nil {
-			s.tracer.Event(trace.KindQuery, fmt.Sprintf("%d snapshot queries served", s.queries.Load()))
-		}
 		close(s.done)
 		// Reject whatever is still queued: pending mutations are never
 		// silently dropped nor applied after the session stopped — every
@@ -514,9 +509,6 @@ func (s *Session) loop(ctx context.Context) {
 			s.degraded = false
 			s.fault = ""
 			s.rec.Record("session", "recovered", s.traceKey(), "exchange rounds delivering again")
-			if s.tracer != nil {
-				s.tracer.Event(trace.KindFault, "recovered: exchange rounds delivering again")
-			}
 		}
 		s.failBackoff = 0
 		s.dirty = true
@@ -560,9 +552,6 @@ func (s *Session) degrade(err error) {
 	}
 	s.degraded = true
 	s.rec.Record("session", "degraded", s.traceKey(), err.Error())
-	if s.tracer != nil {
-		s.tracer.Event(trace.KindFault, "degraded: "+err.Error())
-	}
 	s.publish()
 }
 
@@ -597,9 +586,6 @@ func (s *Session) markExhausted(reason string) bool {
 		kind = "deadline-trip"
 	}
 	s.rec.Record("session", kind, s.traceKey(), "exhausted: "+reason)
-	if s.tracer != nil {
-		s.tracer.Event(trace.KindEpoch, "exhausted: "+reason)
-	}
 	return true
 }
 
@@ -664,12 +650,8 @@ func (s *Session) publish() {
 			Name:      "session.publish",
 			Start:     start,
 			Dur:       time.Since(start),
-			Detail:    fmt.Sprintf("epoch %d at step %d", snap.Epoch, snap.Step),
+			Detail: fmt.Sprintf("epoch %d at step %d (converged=%t exhausted=%t degraded=%t, %d vertices, %d edges)",
+				snap.Epoch, snap.Step, snap.Converged, snap.Exhausted, snap.Degraded, snap.NumVertices, snap.NumEdges),
 		})
-	}
-	if s.tracer != nil {
-		s.tracer.Event(trace.KindEpoch, fmt.Sprintf(
-			"epoch %d at step %d (converged=%t exhausted=%t degraded=%t, %d vertices, %d edges)",
-			snap.Epoch, snap.Step, snap.Converged, snap.Exhausted, snap.Degraded, snap.NumVertices, snap.NumEdges))
 	}
 }

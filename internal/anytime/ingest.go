@@ -8,7 +8,6 @@ import (
 
 	"aacc/internal/core"
 	"aacc/internal/obs"
-	"aacc/internal/trace"
 )
 
 // This file is the session's high-throughput ingestion pipeline. Mutations
@@ -276,23 +275,19 @@ func (s *Session) applyIngest(muts []core.Mutation, orig []*core.Mutation) []err
 		s.om.ingestUnits.Add(float64(len(units)))
 		s.om.batchSize.Observe(float64(len(muts)))
 	}
-	failed := 0
-	for _, err := range errs {
-		if err != nil {
-			failed++
-		}
-	}
-	detail := fmt.Sprintf("ingest %d ops as %d units", len(muts), len(units))
-	if failed > 0 {
-		detail += fmt.Sprintf(" (%d failed)", failed)
-	}
-	if len(units) < len(muts) || failed > 0 {
-		// Flight-record only the interesting drains: the coalescer merged
-		// or cancelled work, or ops failed (the engine has already recorded
-		// the committed-prefix BatchError itself).
-		s.rec.Record("session", "coalesce", s.traceKey(), detail)
-	}
 	if s.spans != nil {
+		// A drain is timeline, not an incident: the ops that failed were
+		// already recorded by the engine as batch errors.
+		failed := 0
+		for _, err := range errs {
+			if err != nil {
+				failed++
+			}
+		}
+		detail := fmt.Sprintf("ingest %d ops as %d units", len(muts), len(units))
+		if failed > 0 {
+			detail += fmt.Sprintf(" (%d failed)", failed)
+		}
 		s.spans.Span(obs.Span{
 			Trace:     s.traceKey(),
 			Component: "session",
@@ -301,9 +296,6 @@ func (s *Session) applyIngest(muts []core.Mutation, orig []*core.Mutation) []err
 			Dur:       time.Since(start),
 			Detail:    detail,
 		})
-	}
-	if s.tracer != nil {
-		s.tracer.Event(trace.KindMutation, detail)
 	}
 	return errs
 }

@@ -5,25 +5,22 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"aacc/internal/cluster"
 	"aacc/internal/core"
 	"aacc/internal/graph"
 	"aacc/internal/logp"
 	"aacc/internal/obs"
 	"aacc/internal/runtime"
-	"aacc/internal/trace"
 )
 
 // epochRecorder captures every published snapshot in publication order. The
-// session's publish emits one KindEpoch trace event right after swapping in
+// session's publish emits one session.publish span right after swapping in
 // the new snapshot, on the orchestration goroutine, so loading the current
-// snapshot from inside the event callback observes exactly the epoch that
+// snapshot from inside the span callback observes exactly the epoch that
 // was just published — no epoch can be missed or double-counted.
 type epochRecorder struct {
 	s  atomic.Pointer[Session]
@@ -31,13 +28,9 @@ type epochRecorder struct {
 	sn []*Snapshot
 }
 
-func (r *epochRecorder) StepDone(core.StepReport, cluster.Stats) {}
-
-func (r *epochRecorder) Event(kind, details string) {
-	// Only publication events; KindEpoch is also used for the exhaustion
-	// transition note that precedes its publish.
-	if kind != trace.KindEpoch || !strings.HasPrefix(details, "epoch ") {
-		return
+func (r *epochRecorder) Span(sp obs.Span) {
+	if sp.Name != "session.publish" {
+		return // the engine's own spans share the tracer
 	}
 	s := r.s.Load()
 	if s == nil {

@@ -1,9 +1,13 @@
 package anytime
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,8 +15,8 @@ import (
 	"aacc/internal/core"
 	"aacc/internal/gen"
 	"aacc/internal/graph"
+	"aacc/internal/obs"
 	"aacc/internal/sssp"
-	"aacc/internal/trace"
 	"aacc/internal/workload"
 )
 
@@ -265,34 +269,109 @@ func TestSessionClosed(t *testing.T) {
 	}
 }
 
-// TestSessionTracerEvents: the session emits epoch, mutation and query
-// events on the engine tracer.
+// spanLog is a goroutine-safe core.Tracer keeping every span it receives.
+type spanLog struct {
+	mu    sync.Mutex
+	spans []obs.Span
+}
+
+func (l *spanLog) Span(sp obs.Span) {
+	l.mu.Lock()
+	l.spans = append(l.spans, sp)
+	l.mu.Unlock()
+}
+
+// named returns the received spans called name, in arrival order.
+func (l *spanLog) named(name string) []obs.Span {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var out []obs.Span
+	for _, sp := range l.spans {
+		if sp.Name == name {
+			out = append(out, sp)
+		}
+	}
+	return out
+}
+
+// TestSessionTracerEvents: the session's timeline reaches the engine tracer
+// as spans — one session.publish per epoch carrying the epoch's state, one
+// session.apply per ingest drain — beside the engine's own engine.step and
+// engine.apply spans.
 func TestSessionTracerEvents(t *testing.T) {
-	col := &trace.Collector{}
+	log := &spanLog{}
 	g := testGraph(60)
-	s := mustSession(t, g, Options{Engine: core.Options{P: 4, Seed: 7, Tracer: col}})
+	s := mustSession(t, g, Options{Engine: core.Options{P: 4, Seed: 7, Tracer: log}})
 	if _, err := s.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if err := apply(s, core.EdgeAdd(graph.EdgeTriple{U: 0, V: 55, W: 2})); err != nil {
 		t.Fatal(err)
 	}
-	s.Snapshot()
 	if _, err := s.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
-	want := map[string]bool{trace.KindEpoch: false, trace.KindMutation: false, trace.KindQuery: false}
-	for _, ev := range col.Events {
-		for kind := range want {
-			if strings.HasPrefix(ev, kind+": ") {
-				want[kind] = true
-			}
+
+	pubs := log.named("session.publish")
+	if last := s.Snapshot().Epoch; len(pubs) != last {
+		t.Fatalf("%d session.publish spans for %d epochs", len(pubs), last)
+	}
+	for i, sp := range pubs {
+		if sp.Component != "session" || !strings.HasPrefix(sp.Detail, fmt.Sprintf("epoch %d at step ", i+1)) {
+			t.Fatalf("publish span %d: %+v", i, sp)
 		}
 	}
-	for kind, seen := range want {
-		if !seen {
-			t.Fatalf("no %q event in trace: %v", kind, col.Events)
+	if d := pubs[len(pubs)-1].Detail; !strings.Contains(d, "converged=true") || !strings.Contains(d, "60 vertices") {
+		t.Fatalf("final publish detail %q", d)
+	}
+	if ap := log.named("session.apply"); len(ap) != 1 || ap[0].Detail != "ingest 1 ops as 1 units" {
+		t.Fatalf("session.apply spans %+v", ap)
+	}
+	if ea := log.named("engine.apply"); len(ea) != 1 || ea[0].Detail != "edge-add: 1 edges" {
+		t.Fatalf("engine.apply spans %+v", ea)
+	}
+	steps := log.named("engine.step")
+	if len(steps) == 0 || !strings.HasSuffix(steps[len(steps)-1].Detail, "converged=true") {
+		t.Fatalf("engine.step spans %+v", steps)
+	}
+}
+
+// TestSessionKindsRender: the session's spans render through the -trace
+// writer as span lines with their detail.
+func TestSessionKindsRender(t *testing.T) {
+	var buf bytes.Buffer
+	j := obs.NewJSONL(&buf)
+	s := mustSession(t, testGraph(40), Options{Engine: core.Options{P: 4, Seed: 7, Tracer: j}})
+	if err := apply(s, core.EdgeAdd(graph.EdgeTriple{U: 0, V: 35, W: 1})); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if err := j.Err(); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	dec := json.NewDecoder(&buf)
+	for dec.More() {
+		var line struct {
+			Type, Component, Name, Detail string
+		}
+		if err := dec.Decode(&line); err != nil {
+			t.Fatal(err)
+		}
+		if line.Type != "span" {
+			t.Fatalf("unexpected record type %q", line.Type)
+		}
+		if line.Component == "session" && line.Detail != "" {
+			seen[line.Name] = true
+		}
+	}
+	for _, name := range []string{"session.publish", "session.apply"} {
+		if !seen[name] {
+			t.Fatalf("trace has no %s span line with detail:\n%s", name, buf.String())
 		}
 	}
 }

@@ -17,6 +17,7 @@ import (
 	goruntime "runtime"
 	"runtime/pprof"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -34,7 +35,6 @@ import (
 	"aacc/internal/obs"
 	"aacc/internal/partition"
 	"aacc/internal/runtime"
-	"aacc/internal/trace"
 	"aacc/internal/transport"
 	"aacc/internal/workload"
 )
@@ -173,8 +173,22 @@ func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
 	}, nil
 }
 
+// lockedWriter serialises writes to one writer: the progress logger, the
+// report and a serve-mode ingest driver's goroutine all print to stdout.
+type lockedWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (l *lockedWriter) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.w.Write(p)
+}
+
 // Analysis implements cmd/aacc.
 func Analysis(args []string, stdout io.Writer) (err error) {
+	stdout = &lockedWriter{w: stdout}
 	fs := flag.NewFlagSet("aacc", flag.ContinueOnError)
 	fs.SetOutput(stdout)
 	var (
@@ -191,11 +205,9 @@ func Analysis(args []string, stdout io.Writer) (err error) {
 		changes    = fs.String("changes", "", "replay a change log (see internal/changelog) during the analysis")
 		eagerDel   = fs.Bool("eager-deletions", false, "barrier-free (eager) deletion mode for the change log")
 		rtName     = fs.String("runtime", "sim", "execution runtime: sim (in-process) or tcp (boundary DVs over a real TCP loopback mesh)")
-		wire       = fs.Bool("wire", false, "deprecated alias for -runtime tcp")
 		faultRate  = fs.Float64("fault-rate", 0, "tcp runtime: inject deterministic wire faults (drops, delays, truncated/corrupt frames) on this fraction of exchange rounds, in [0,1)")
 		faultSeed  = fs.Int64("fault-seed", 1, "seed for the deterministic fault-injection schedule")
-		traceCSV   = fs.String("trace", "", "write a CSV step/event trace to this file")
-		traceJSONL = fs.String("trace-jsonl", "", "write a JSONL step/event trace to this file")
+		tracePath  = fs.String("trace", "", "write the span timeline (one JSON object per line) to this file")
 		serve      = fs.Bool("serve", false, "run as an anytime session: the change log replays through the mutation queue while epoch snapshots are sampled concurrently")
 		pubEvery   = fs.Int("publish-every", 1, "serve mode: publish a snapshot every k rc steps")
 		stepBudget = fs.Int("step-budget", 0, "serve mode: stop stepping after this many rc steps (0 = unlimited)")
@@ -259,7 +271,7 @@ func Analysis(args []string, stdout io.Writer) (err error) {
 		}
 		for flagName, set := range map[string]bool{
 			"-serve": *serve, "-changes": *changes != "",
-			"-anytime": *anyFlag, "-wire": *wire, "-ingest": *ingestN > 0,
+			"-anytime": *anyFlag, "-ingest": *ingestN > 0,
 		} {
 			if set {
 				return fmt.Errorf("%s is a coordinator/single-process flag; a worker only hosts its partition", flagName)
@@ -277,8 +289,8 @@ func Analysis(args []string, stdout io.Writer) (err error) {
 			return fmt.Errorf("-changes on a coordinator requires -serve (batch replay drives a single-process engine)")
 		}
 	}
-	if *role != "" && (*rtName != "sim" || *wire || *faultRate > 0) {
-		return fmt.Errorf("-runtime/-wire/-fault-rate configure the single-process runtime; a multi-process deployment always exchanges over the worker mesh")
+	if *role != "" && (*rtName != "sim" || *faultRate > 0) {
+		return fmt.Errorf("-runtime/-fault-rate configure the single-process runtime; a multi-process deployment always exchanges over the worker mesh")
 	}
 	stopProf, err := startProfiles(*cpuProf, *memProf)
 	if err != nil {
@@ -302,9 +314,6 @@ func Analysis(args []string, stdout io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	if *wire {
-		rtKind = runtime.WireTCP
-	}
 	if *faultRate < 0 || *faultRate >= 1 {
 		return fmt.Errorf("-fault-rate must be in [0,1), got %g", *faultRate)
 	}
@@ -313,61 +322,26 @@ func Analysis(args []string, stdout io.Writer) (err error) {
 	}
 	logger.Info("graph ready", "vertices", g.NumVertices(), "edges", g.NumEdges(), "processors", *p)
 
-	// A trace that silently lost rows is worse than no trace: sink write
-	// errors surface as the command's error once the run itself succeeded.
-	// The multiplexer's Err aggregates across every sink, so the exit path
-	// checks one place; per-file closers only add their own close errors.
-	var sinks trace.Multi
-	var closers []func() error
-	openSink := func(path string, build func(io.Writer) core.Tracer) error {
-		f, cerr := os.Create(path)
-		if cerr != nil {
-			return cerr
+	// -trace writes the span timeline. A trace that silently lost spans is
+	// worse than no trace: a write error surfaces as the command's error once
+	// the run itself succeeded.
+	var tracer core.Tracer
+	if *tracePath != "" {
+		f, ferr := os.Create(*tracePath)
+		if ferr != nil {
+			return ferr
 		}
-		sinks = append(sinks, build(f))
-		closers = append(closers, func() error {
-			if cerr := f.Close(); cerr != nil {
-				return fmt.Errorf("trace %s: %w", path, cerr)
+		j := obs.NewJSONL(f)
+		tracer = j
+		defer func() {
+			if terr := errors.Join(j.Err(), f.Close()); terr != nil && err == nil {
+				err = fmt.Errorf("trace %s: %w", *tracePath, terr)
 			}
-			return nil
-		})
-		return nil
+		}()
 	}
-	defer func() {
-		if terr := sinks.Err(); terr != nil && err == nil {
-			err = fmt.Errorf("trace sink: %w", terr)
-		}
-		for _, c := range closers {
-			if cerr := c(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}
-	}()
-	if *traceCSV != "" {
-		if err := openSink(*traceCSV, func(w io.Writer) core.Tracer { return trace.NewCSV(w) }); err != nil {
-			return err
-		}
-	}
-	if *traceJSONL != "" {
-		if err := openSink(*traceJSONL, func(w io.Writer) core.Tracer { return trace.NewJSONL(w) }); err != nil {
-			return err
-		}
-	}
-	// The observability endpoint gets its own registry per run; the engine
-	// instruments itself with it and a trace.Metrics sink mirrors the tracer
-	// stream, so one scrape covers both views.
 	var reg *obs.Registry
 	if *obsAddr != "" {
 		reg = obs.NewRegistry()
-		sinks = append(sinks, trace.NewMetrics(reg))
-	}
-	var tracer core.Tracer
-	switch len(sinks) {
-	case 0:
-	case 1:
-		tracer = sinks[0]
-	default:
-		tracer = sinks
 	}
 
 	if *poolSize < 1 {
@@ -425,7 +399,7 @@ func Analysis(args []string, stdout io.Writer) (err error) {
 			Transport:   transport.Config{RoundTimeout: *roundTO},
 			Logger:      logger,
 			Obs:         reg,
-			Spans:       obs.SinkOf(tracer),
+			Spans:       tracer,
 		})
 		if err != nil {
 			return err
@@ -943,12 +917,12 @@ func GraphGen(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("graphgen", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		kind   = fs.String("type", "ba", "ba, er, ws, sbm, community, rmat, grid, star, path")
-		n      = fs.Int("n", 1000, "number of vertices")
-		m      = fs.Int("m", 2, "edges per vertex (ba), edge multiple (er), neighbours (ws)")
-		k      = fs.Int("k", 8, "communities (sbm, community)")
-		seed   = fs.Int64("seed", 1, "random seed")
-		maxW   = fs.Int("maxw", 1, "maximum random edge weight")
+		kind     = fs.String("type", "ba", "ba, er, ws, sbm, community, rmat, grid, star, path")
+		n        = fs.Int("n", 1000, "number of vertices")
+		m        = fs.Int("m", 2, "edges per vertex (ba), edge multiple (er), neighbours (ws)")
+		k        = fs.Int("k", 8, "communities (sbm, community)")
+		seed     = fs.Int64("seed", 1, "random seed")
+		maxW     = fs.Int("maxw", 1, "maximum random edge weight")
 		out      = fs.String("o", "", "output path (default stdout)")
 		format   = fs.String("format", "edgelist", "edgelist, pajek or metis")
 		logLevel = fs.String("log-level", "info", "progress log level: debug, info, warn, error")

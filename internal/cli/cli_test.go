@@ -2,6 +2,8 @@ package cli
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -73,9 +75,11 @@ func TestAnalysisWithChangeLog(t *testing.T) {
 	}
 }
 
+// TestAnalysisTraceFile: -trace alone records the engine's timeline — one
+// engine.step span line per RC step, keyed by consecutive step numbers.
 func TestAnalysisTraceFile(t *testing.T) {
 	dir := t.TempDir()
-	tracePath := filepath.Join(dir, "trace.csv")
+	tracePath := filepath.Join(dir, "trace.jsonl")
 	var out bytes.Buffer
 	if err := Analysis([]string{"-n", "80", "-p", "4", "-trace", tracePath}, &out); err != nil {
 		t.Fatal(err)
@@ -84,8 +88,29 @@ func TestAnalysisTraceFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(string(data), "step,messages") {
-		t.Fatalf("trace file malformed: %.60s", data)
+	var keys []uint64
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var sp struct {
+			Type, Name string
+			Trace      uint64
+		}
+		if err := json.Unmarshal([]byte(line), &sp); err != nil || sp.Type != "span" {
+			t.Fatalf("trace line %q is not a span (%v)", line, err)
+		}
+		if sp.Name == "engine.step" {
+			keys = append(keys, sp.Trace)
+		}
+	}
+	if len(keys) < 2 {
+		t.Fatalf("trace holds %d engine.step spans:\n%s", len(keys), data)
+	}
+	for i, k := range keys {
+		if k != uint64(i+1) {
+			t.Fatalf("engine.step trace keys not consecutive: %v", keys)
+		}
+	}
+	if !strings.Contains(out.String(), fmt.Sprintf("rc steps: %d ", len(keys))) {
+		t.Fatalf("%d engine.step spans disagree with the report:\n%s", len(keys), out.String())
 	}
 }
 
@@ -99,7 +124,7 @@ func TestAnalysisServe(t *testing.T) {
 	jsonlPath := filepath.Join(dir, "trace.jsonl")
 	var out bytes.Buffer
 	err := Analysis([]string{"-n", "80", "-p", "4", "-serve", "-changes", logPath,
-		"-publish-every", "1", "-trace-jsonl", jsonlPath, "-top", "3"}, &out)
+		"-publish-every", "1", "-trace", jsonlPath, "-top", "3"}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +138,7 @@ func TestAnalysisServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"type":"step"`, `"kind":"epoch"`, `"kind":"mutation"`} {
+	for _, want := range []string{`"name":"engine.step"`, `"name":"session.publish"`, `"name":"session.apply"`, `"name":"engine.apply"`} {
 		if !strings.Contains(string(data), want) {
 			t.Fatalf("jsonl trace missing %q: %.200s", want, data)
 		}
@@ -142,11 +167,6 @@ func TestAnalysisTraceWriteError(t *testing.T) {
 	err := Analysis([]string{"-n", "60", "-p", "4", "-trace", "/dev/full"}, &out)
 	if err == nil || !strings.Contains(err.Error(), "trace") {
 		t.Fatalf("trace write failure not propagated: %v", err)
-	}
-	out.Reset()
-	err = Analysis([]string{"-n", "60", "-p", "4", "-trace-jsonl", "/dev/full"}, &out)
-	if err == nil || !strings.Contains(err.Error(), "trace") {
-		t.Fatalf("jsonl trace write failure not propagated: %v", err)
 	}
 }
 

@@ -151,7 +151,7 @@ func TestAnalysisServeObsAddr(t *testing.T) {
 	if code != http.StatusOK || body == "" {
 		t.Fatalf("/metrics = %d, %d bytes", code, len(body))
 	}
-	for _, fam := range []string{"aacc_engine_phase_seconds", "aacc_transport_bytes_total", "aacc_session_epoch", "aacc_trace_steps_total"} {
+	for _, fam := range []string{"aacc_engine_phase_seconds", "aacc_transport_bytes_total", "aacc_session_epoch", "aacc_engine_steps_total"} {
 		if !strings.Contains(body, fam) {
 			t.Errorf("/metrics missing %s", fam)
 		}

@@ -72,11 +72,9 @@ func (e *Engine) applyEdgeAdditions(edges []graph.EdgeTriple) error {
 		e.relaxEdgeBatch(one, endRows)
 		applied++
 	}
-	if applied == 0 {
-		return nil
+	if applied > 0 {
+		e.conv = false
 	}
-	e.trace("edge-add", "%d edges applied", applied)
-	e.conv = false
 	return nil
 }
 
@@ -172,7 +170,6 @@ func (e *Engine) applyEdgeDeletions(pairs [][2]graph.ID) error {
 	e.invalidateAndReseed(func(pr *proc) (hit, holes []graph.ID) {
 		return pr.invalidateThroughEdges(e, batch, endRows)
 	})
-	e.trace("edge-delete", "%d edges removed (barrier mode)", len(batch))
 	e.conv = false
 	return nil
 }
@@ -317,7 +314,6 @@ func (e *Engine) applyEdgeDeletionsEager(pairs [][2]graph.ID) error {
 	e.invalidateAndReseed(func(pr *proc) (hit, holes []graph.ID) {
 		return pr.wipeSuspectRows(e, batch)
 	})
-	e.trace("edge-delete", "%d edges removed (eager mode)", len(batch))
 	e.conv = false
 	return nil
 }
@@ -577,7 +573,6 @@ func (e *Engine) applyVertexAdditions(batch *VertexBatch, ps ProcessorAssigner) 
 			pr.noteRowChanged(e, v, cols, true)
 		})
 	})
-	e.trace("vertex-add", "%d vertices, %d edges via %s", batch.Count, batch.NumEdges(), ps.Name())
 	e.conv = false
 	return ids, nil
 }

@@ -71,9 +71,10 @@ type Options struct {
 	// round-trip the engine's exchange payloads (see WireCodec for the
 	// serialised form). The engine takes ownership and Closes it.
 	RuntimeFactory func(p int, model logp.Params) (runtime.Runtime, error)
-	// Tracer, when set, observes every RC step and dynamic event (see
-	// internal/trace for CSV/JSONL sinks). Tracer calls happen on the
-	// orchestration goroutine, never concurrently.
+	// Tracer, when set, receives the engine's timeline as spans: one
+	// engine.step per RC step (with its four phase spans) and one
+	// engine.apply per applied mutation (obs.JSONL writes them as the
+	// -trace file). Spans are emitted on the orchestration goroutine.
 	Tracer Tracer
 	// Obs, when set, receives live metrics from every layer of the
 	// analysis: the engine registers its per-phase step histograms and
@@ -128,11 +129,7 @@ type Engine struct {
 	opts Options
 	rt   runtime.Runtime // the execution runtime all phases run on
 	om   *engineObs      // live metrics, nil unless Options.Obs was set
-	// spans is Options.Tracer's span sink, cached at construction (nil when
-	// the tracer doesn't implement obs.SpanSink — the disabled path costs
-	// one nil check per phase). rec is the registry's flight recorder.
-	spans obs.SpanSink
-	rec   *obs.Recorder
+	rec  *obs.Recorder   // the registry's flight recorder, nil-safe
 	// spanKey overrides the trace correlation key on emitted spans/events;
 	// 0 (default) falls back to the step number. The dist worker sets the
 	// cluster command seq here so worker-side engine phase spans line up
@@ -384,7 +381,6 @@ func newEngine(g *graph.Graph, opts Options) (*Engine, error) {
 	if pa, ok := rt.(runtime.Partial); ok {
 		e.partial = pa
 	}
-	e.spans = obs.SinkOf(opts.Tracer)
 	e.rec = opts.Obs.Events()
 	if opts.Obs != nil {
 		e.om = newEngineObs(opts.Obs)
@@ -555,20 +551,9 @@ func (pr *proc) retire(v graph.ID, owned bool) {
 	pr.store.ClearColumn(v)
 }
 
-// Tracer observes the engine's progress: one StepDone per RC step and one
-// Event per dynamic operation. Implementations must not call back into the
-// engine.
-type Tracer interface {
-	StepDone(rep StepReport, stats cluster.Stats)
-	Event(kind, details string)
-}
-
-// trace emits a dynamic-operation event to the configured tracer.
-func (e *Engine) trace(kind, format string, args ...any) {
-	if e.opts.Tracer != nil {
-		e.opts.Tracer.Event(kind, fmt.Sprintf(format, args...))
-	}
-}
+// Tracer receives the engine's timeline spans (see Options.Tracer).
+// Implementations must not call back into the engine.
+type Tracer = obs.SpanSink
 
 // StepReport summarises one RC step.
 type StepReport struct {
@@ -577,6 +562,12 @@ type StepReport struct {
 	RowsSent     int
 	RowsChanged  int
 	Converged    bool
+}
+
+// String renders the report as the engine.step and coord.step span detail.
+func (r StepReport) String() string {
+	return fmt.Sprintf("step %d: %d rows sent, %d changed, %d messages, converged=%t",
+		r.Step, r.RowsSent, r.RowsChanged, r.MessagesSent, r.Converged)
 }
 
 // ErrExchange tags step failures caused by the execution runtime's exchange
@@ -600,44 +591,44 @@ var ErrExchange = errors.New("core: exchange failed")
 // distances changed. The in-memory runtime never fails; wire runtimes can.
 func (e *Engine) Step() (StepReport, error) {
 	om := e.om
-	sp := e.spans
+	sp := e.opts.Tracer
 	timed := om != nil || sp != nil
-	var t time.Time
+	var start, t time.Time
 	var key uint64
 	if timed {
-		t = time.Now()
+		start = time.Now()
+		t = start
 		if key = e.spanKey; key == 0 {
 			key = uint64(e.step + 1)
 		}
 	}
 	mail, rowsSent := e.collectPhase()
 	if timed {
-		t = e.phaseDone(om.histCollect(), "engine.collect", key, t, nil)
+		t = e.phaseDone(om.histCollect(), "engine.collect", key, t)
 	}
 	in, err := e.exchangePhase(mail)
 	if err != nil {
+		// A failed exchange is an incident, not a timeline entry: it goes to
+		// the flight recorder (and the metrics), not to the tracer.
 		e.rollbackCollect()
 		if om != nil {
 			om.stepFailures.Inc()
-		}
-		if timed {
-			e.phaseDone(om.histExchange(), "engine.exchange", key, t, err)
+			om.exchange.Observe(time.Since(t).Seconds())
 		}
 		e.rec.Record("core", "step-failure", key, fmt.Sprintf("step %d exchange failed: %v", e.step+1, err))
-		e.trace("fault", "step %d exchange failed: %v", e.step+1, err)
 		return StepReport{}, fmt.Errorf("%w: step %d: %w", ErrExchange, e.step+1, err)
 	}
 	e.step++
 	if timed {
-		t = e.phaseDone(om.histExchange(), "engine.exchange", key, t, nil)
+		t = e.phaseDone(om.histExchange(), "engine.exchange", key, t)
 	}
 	changed := e.installRelaxPhase(in)
 	if timed {
-		t = e.phaseDone(om.histInstall(), "engine.install_relax", key, t, nil)
+		t = e.phaseDone(om.histInstall(), "engine.install_relax", key, t)
 	}
 	e.strategiesPhase(changed)
 	if timed {
-		e.phaseDone(om.histStrategies(), "engine.strategies", key, t, nil)
+		e.phaseDone(om.histStrategies(), "engine.strategies", key, t)
 	}
 
 	rep := StepReport{Step: e.step}
@@ -655,8 +646,9 @@ func (e *Engine) Step() (StepReport, error) {
 	if om != nil {
 		om.stepDone(rep)
 	}
-	if e.opts.Tracer != nil {
-		e.opts.Tracer.StepDone(rep, e.rt.Stats())
+	if sp != nil {
+		sp.Span(obs.Span{Trace: key, Component: "engine", Name: "engine.step",
+			Start: start, Dur: time.Since(start), Detail: rep.String()})
 	}
 	return rep, nil
 }

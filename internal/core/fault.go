@@ -126,7 +126,8 @@ func (e *Engine) FailProcessor(p int) (*FailureRecovery, error) {
 		pr.noteRowFull(v)
 	}
 	e.rt.AccountCompute(time.Since(start))
-	e.trace("failure", "processor %d lost %d rows, %d salvaged from snapshots", p, rec.RowsLost, rec.RowsFromSnapshots)
+	e.rec.Record("core", "processor-failure", e.SpanKey(),
+		fmt.Sprintf("processor %d lost %d rows, %d salvaged from snapshots", p, rec.RowsLost, rec.RowsFromSnapshots))
 	e.conv = false
 	return rec, nil
 }
@@ -150,7 +151,7 @@ func (e *Engine) RebalanceIfNeeded(threshold float64) (bool, error) {
 	if e.Imbalance().VertexImbalance <= threshold {
 		return false, nil
 	}
-	if _, err := e.repartition(nil); err != nil {
+	if err := e.ApplyBatch(&Batch{Ops: []Mutation{RepartitionOp(nil)}}); err != nil {
 		return false, err
 	}
 	return true, nil

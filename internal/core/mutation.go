@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"aacc/internal/graph"
+	"aacc/internal/obs"
 )
 
 // This file defines the typed mutation representation the ingestion pipeline
@@ -39,7 +41,7 @@ const (
 	MutRepartition
 )
 
-// String names the kind the way the engine's trace events do.
+// String names the kind the way the engine.apply span details do.
 func (k MutationKind) String() string {
 	switch k {
 	case MutNone:
@@ -257,19 +259,50 @@ func (e *BatchError) Unwrap() error { return e.Err }
 // *BatchError identifying the op; result fields (AssignedIDs, Repart) are
 // written into the batch's own Mutation values. The engine is left
 // un-converged; run Step/Run to propagate the effects.
+//
+// With a tracer set, every applied op is one engine.apply span; a failing op
+// is a batch-error incident in the flight recorder instead.
 func (e *Engine) ApplyBatch(b *Batch) error {
 	if err := b.Validate(); err != nil {
 		e.rec.Record("core", "batch-error", e.spanKey, fmt.Sprintf("validate: %v (nothing applied)", err))
 		return err
 	}
 	for i := range b.Ops {
-		if err := e.applyMutation(&b.Ops[i]); err != nil {
+		m := &b.Ops[i]
+		var start time.Time
+		var key uint64
+		if e.opts.Tracer != nil {
+			start, key = time.Now(), e.SpanKey()
+		}
+		if err := e.applyMutation(m); err != nil {
 			e.rec.Record("core", "batch-error", e.spanKey,
 				fmt.Sprintf("op %d/%d failed, committed prefix kept: %v", i, len(b.Ops), err))
 			return &BatchError{Index: i, Err: err}
 		}
+		if e.opts.Tracer != nil {
+			e.opts.Tracer.Span(obs.Span{Trace: key, Component: "engine", Name: "engine.apply",
+				Start: start, Dur: time.Since(start), Detail: m.describe()})
+		}
 	}
 	return nil
+}
+
+// describe renders an applied mutation's kind and size as the engine.apply
+// span detail.
+func (m *Mutation) describe() string {
+	switch m.Kind {
+	case MutEdgeAdd, MutSetWeight:
+		return fmt.Sprintf("%s: %d edges", m.Kind, len(m.Edges))
+	case MutEdgeDelete, MutEdgeDeleteEager:
+		return fmt.Sprintf("%s: %d edges", m.Kind, len(m.Pairs))
+	case MutVertexAdd:
+		return fmt.Sprintf("%s: %d vertices, %d edges via %s", m.Kind, m.Batch.Count, m.Batch.NumEdges(), m.Assign.Name())
+	case MutVertexRemove:
+		return fmt.Sprintf("%s: %d vertices", m.Kind, len(m.Verts))
+	case MutRepartition:
+		return fmt.Sprintf("%s: %d migrated, %d new vertices", m.Kind, m.Repart.Migrated, len(m.Repart.NewIDs))
+	}
+	return m.Kind.String()
 }
 
 // applyMutation dispatches one mutation to its per-kind helper, filling the

@@ -99,8 +99,8 @@ func (e *Engine) shardImbReseed() *obs.Histogram {
 }
 
 // histCollect (and siblings) are nil-receiver-safe accessors for the phase
-// histograms, so Step can instrument phases when either metrics or span
-// tracing is enabled without branching on both.
+// histograms, so Step can instrument phases when either metrics or a tracer
+// is enabled without branching on both.
 func (m *engineObs) histCollect() *obs.Histogram {
 	if m == nil {
 		return nil
@@ -130,18 +130,14 @@ func (m *engineObs) histStrategies() *obs.Histogram {
 }
 
 // phaseDone finishes one instrumented RC-step phase: the duration since t
-// lands in h (nil-safe) and, when span tracing is on, a span keyed by the
-// trace correlation key goes to the sink. Returns the next phase's start.
-func (e *Engine) phaseDone(h *obs.Histogram, name string, key uint64, t time.Time, failed error) time.Time {
+// lands in h (nil-safe) and, when a tracer is set, a span keyed by the trace
+// correlation key goes to it. Returns the next phase's start.
+func (e *Engine) phaseDone(h *obs.Histogram, name string, key uint64, t time.Time) time.Time {
 	now := time.Now()
 	d := now.Sub(t)
 	h.Observe(d.Seconds())
-	if e.spans != nil {
-		sp := obs.Span{Trace: key, Component: "engine", Name: name, Start: t, Dur: d}
-		if failed != nil {
-			sp.Err = failed.Error()
-		}
-		e.spans.Span(sp)
+	if e.opts.Tracer != nil {
+		e.opts.Tracer.Span(obs.Span{Trace: key, Component: "engine", Name: name, Start: t, Dur: d})
 	}
 	return now
 }

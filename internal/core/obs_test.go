@@ -136,3 +136,89 @@ func TestEngineObsDisabledIsInert(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// spanList is a Tracer keeping every span (the engine emits from one
+// goroutine).
+type spanList []obs.Span
+
+func (l *spanList) Span(sp obs.Span) { *l = append(*l, sp) }
+
+func (l spanList) named(name string) []obs.Span {
+	var out []obs.Span
+	for _, sp := range l {
+		if sp.Name == name {
+			out = append(out, sp)
+		}
+	}
+	return out
+}
+
+// TestTracerSeesAllDynamicKinds: every applied mutation is one engine.apply
+// span naming its kind and size; a failing op and a processor failure are
+// flight-recorder incidents instead, with no span.
+func TestTracerSeesAllDynamicKinds(t *testing.T) {
+	var spans spanList
+	reg := obs.NewRegistry()
+	g := gen.BarabasiAlbert(80, 2, 5, gen.Config{})
+	e, err := New(g, Options{P: 4, Seed: 5, Tracer: &spans, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	ed := e.Graph().Edges()[0]
+	batch := &VertexBatch{Count: 1, External: []AttachEdge{{New: 0, To: 4, W: 1}}}
+	if err := e.ApplyBatch(&Batch{Ops: []Mutation{
+		EdgeAdd(graph.EdgeTriple{U: 0, V: 60, W: 1}),
+		EdgeDelete([2]graph.ID{0, 60}),
+		WeightSet(ed.U, ed.V, ed.W+1),
+		VertexAdd(batch, &RoundRobinPS{}),
+		VertexRemove(70),
+		RepartitionOp(nil),
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"edge-add: 1 edges",
+		"edge-delete: 1 edges",
+		"set-weight: 1 edges",
+		"vertex-add: 1 vertices, 1 edges via RoundRobin-PS",
+		"vertex-remove: 1 vertices",
+		"repartition: ",
+	}
+	applied := spans.named("engine.apply")
+	if len(applied) != len(want) {
+		t.Fatalf("%d engine.apply spans, want %d: %+v", len(applied), len(want), applied)
+	}
+	for i, sp := range applied {
+		if sp.Component != "engine" || !strings.HasPrefix(sp.Detail, want[i]) || sp.Err != "" {
+			t.Fatalf("engine.apply span %d = %+v, want detail %q", i, sp, want[i])
+		}
+	}
+
+	if err := e.ApplyBatch(&Batch{Ops: []Mutation{EdgeAdd(graph.EdgeTriple{U: 70, V: 1, W: 1})}}); err == nil {
+		t.Fatal("edge to a removed vertex applied")
+	}
+	if _, err := e.FailProcessor(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(spans.named("engine.apply")); n != len(want) {
+		t.Fatalf("the failing op emitted a span: %d engine.apply spans", n)
+	}
+	kinds := map[string]string{}
+	for _, ev := range reg.Events().Events() {
+		if ev.Component == "core" {
+			kinds[ev.Kind] = ev.Detail
+		}
+	}
+	if !strings.HasPrefix(kinds["processor-failure"], "processor 1 lost ") {
+		t.Fatalf("no processor-failure incident: %v", kinds)
+	}
+	if !strings.HasPrefix(kinds["batch-error"], "op 0/1 failed") {
+		t.Fatalf("no batch-error incident: %v", kinds)
+	}
+}

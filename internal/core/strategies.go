@@ -407,7 +407,6 @@ func (e *Engine) repartition(batch *VertexBatch) (*RepartitionResult, error) {
 			}
 		}
 	})
-	e.trace("repartition", "%d migrated, %d new vertices", res.Migrated, len(res.NewIDs))
 	e.conv = false
 	return res, nil
 }

@@ -48,7 +48,7 @@ type Config struct {
 	// recorder collects worker-lost/expelled/rejoin events.
 	Obs *obs.Registry
 	// Spans, when set, receives coordinator command spans (coord.step,
-	// coord.mutate, coord.resync, coord.collect) and the per-command worker
+	// coord.mutate, coord.collect) and the per-command worker
 	// spans relayed over the control connection, all keyed by the collective
 	// sequence number so one command can be followed across processes.
 	Spans obs.SpanSink
@@ -153,6 +153,7 @@ func NewCoordinator(ln net.Listener, g *graph.Graph, cfg Config) (*Coordinator, 
 		ln:         ln,
 		fp:         Fingerprint(g),
 		g:          g,
+		seq:        1, // sequence numbers are trace keys, and trace key 0 means unkeyed
 		acceptDone: make(chan struct{}),
 	}
 	c.rec = cfg.Obs.Events()
@@ -215,7 +216,7 @@ func (c *Coordinator) form() error {
 		lo, hi := procRange(c.cfg.P, w, i)
 		if err := j.cn.send(mAssign, assignBody{
 			Index: i, Workers: workers, Owner: owner, Lo: lo, Hi: hi,
-			BaseSeq:            0,
+			BaseSeq:            c.seq,
 			RoundTimeoutMillis: c.cfg.Transport.RoundTimeout.Milliseconds(),
 		}, deadline); err != nil {
 			return fmt.Errorf("dist: assigning worker %d: %w", i, err)
@@ -812,14 +813,11 @@ func (c *Coordinator) preflight() error {
 	// of every row on every worker so the next rounds rebuild the exchange
 	// invariants from scratch.
 	seq := c.seq
-	start := time.Now()
 	c.rec.Record("dist", "resync", uint64(seq), "full row resend after rejoin")
 	outs := c.drive(func(ws *workerState) error {
 		return ws.cn.send(mResync, resyncBody{Seq: seq}, time.Now().Add(30*time.Second))
 	})
-	_, err := c.settle(outs)
-	c.coordSpan("coord.resync", seq, start, "full row resend after rejoin", err)
-	if err != nil {
+	if _, err := c.settle(outs); err != nil {
 		return fmt.Errorf("dist: resync after rejoin: %v: %w", err, core.ErrExchange)
 	}
 	c.pendingResync = false
@@ -849,15 +847,15 @@ func (c *Coordinator) Step() (core.StepReport, error) {
 		c.coordSpan("coord.step", seq, start, "", err)
 		return core.StepReport{}, fmt.Errorf("dist: step: %v: %w", err, core.ErrExchange)
 	}
-	c.coordSpan("coord.step", seq, start,
-		fmt.Sprintf("step %d: %d rows sent, %d changed", win.Step, win.RowsSent, win.RowsChanged), nil)
-	return core.StepReport{
+	rep := core.StepReport{
 		Step:         win.Step,
 		RowsSent:     win.RowsSent,
 		RowsChanged:  win.RowsChanged,
 		MessagesSent: win.MessagesSent,
 		Converged:    win.Converged,
-	}, nil
+	}
+	c.coordSpan("coord.step", seq, start, rep.String(), nil)
+	return rep, nil
 }
 
 // mutateBatch drives a batch of logged mutations across the cluster as ONE

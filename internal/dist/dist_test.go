@@ -448,6 +448,9 @@ func TestClusterObservability(t *testing.T) {
 	if !correlated {
 		t.Errorf("no trace key correlates coord.step with both relayed worker spans: %v", byTrace)
 	}
+	if unkeyed := byTrace[0]; unkeyed != nil {
+		t.Errorf("spans without a trace key (0): %v", unkeyed)
+	}
 
 	// Kill worker 1 and drive until the coordinator notices; the death, the
 	// rejoin and the resync must land in the flight recorder.

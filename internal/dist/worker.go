@@ -212,7 +212,6 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 		start:    time.Now(),
 		cfg:      cfg,
 		resident: assign.Hi - assign.Lo,
-		spans:    obs.SinkOf(cfg.Tracer),
 	}
 	if err := reportReady(cn, eng, rrt, wt, replayErr); err != nil {
 		return err
@@ -231,7 +230,6 @@ type workerTelemetry struct {
 	start    time.Time
 	cfg      WorkerConfig
 	resident int
-	spans    obs.SpanSink // local tracer's span sink, nil when tracing is off
 }
 
 // snapshot builds the compact metric snapshot the coordinator re-exports
@@ -274,8 +272,8 @@ func (wt *workerTelemetry) commandSpan(name string, seq uint32, begin time.Time,
 	if cmdErr != nil {
 		ws.Err = cmdErr.Error()
 	}
-	if wt.spans != nil {
-		wt.spans.Span(obs.Span{
+	if wt.cfg.Tracer != nil {
+		wt.cfg.Tracer.Span(obs.Span{
 			Trace:     uint64(seq),
 			Component: "worker",
 			Name:      name,

@@ -16,7 +16,7 @@ const DefRecorderSize = 512
 // Event is one entry in the flight recorder: a structured, timestamped
 // record of something operationally notable — a degradation, a wire retry,
 // a worker expulsion or rejoin, a committed-prefix batch failure, a
-// coalescer decision, a budget/deadline trip.
+// processor failure, a budget/deadline trip.
 type Event struct {
 	// Seq is the event's position in the recorder's total history
 	// (1-based, monotonic). Gaps between the first buffered Seq and 1
@@ -27,7 +27,7 @@ type Event struct {
 	// "coordinator", "worker".
 	Component string `json:"component"`
 	// Kind is a stable short tag ("degraded", "wire-retry", "worker-lost",
-	// "worker-rejoin", "batch-error", "coalesce", "budget-trip", ...).
+	// "worker-rejoin", "batch-error", "step-failure", "budget-trip", ...).
 	Kind string `json:"kind"`
 	// Trace is the correlation ID linking the event to a span: the dist
 	// command/round Seq in cluster mode, the engine step otherwise.

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Multi-process deployment smoke: run the same analysis single-process and as
 # one coordinator plus two worker processes over localhost sockets, and
-# require identical top-k rankings. Then boot a throttled serve-mode cluster,
+# require identical top-k rankings and one step's spans joined by trace id
+# across the coordinator's and a worker's -trace files. Then boot a throttled serve-mode cluster,
 # kill -9 one worker, require the session to degrade (visible on /healthz and
 # the /statusz worker table), restart the worker, require full recovery, and
 # SIGTERM the coordinator expecting a clean exit. Usage:
@@ -34,12 +35,13 @@ go build -o "$BIN" ./cmd/aacc
 
 # Phase 1: batch cluster vs single-process — identical rankings required.
 "$BIN" $GRAPH -top 5 >"$LOGDIR/single.log" 2>&1
-"$BIN" -role worker -coordinator "$CTRL" $GRAPH >"$LOGDIR/w0.log" 2>&1 &
+"$BIN" -role worker -coordinator "$CTRL" $GRAPH -trace "$LOGDIR/w0.trace" \
+    >"$LOGDIR/w0.log" 2>&1 &
 W0=$!
 "$BIN" -role worker -coordinator "$CTRL" $GRAPH >"$LOGDIR/w1.log" 2>&1 &
 W1=$!
 "$BIN" -role coordinator -listen "$CTRL" -cluster-workers 2 $GRAPH -top 5 \
-    >"$LOGDIR/cluster.log" 2>&1 || {
+    -trace "$LOGDIR/coord.trace" >"$LOGDIR/cluster.log" 2>&1 || {
     echo "cluster_smoke: batch cluster run failed" >&2
     tail -20 "$LOGDIR/cluster.log" "$LOGDIR/w0.log" "$LOGDIR/w1.log" >&2
     exit 1
@@ -58,6 +60,25 @@ if [ ! -s "$LOGDIR/single.top" ] || ! cmp -s "$LOGDIR/single.top" "$LOGDIR/clust
     exit 1
 fi
 echo "cluster_smoke: batch cluster matches single-process"
+
+# One collective step seen from three places under one nonzero trace id (the
+# command seq; 0 means unkeyed): the coordinator's coord.step span, the span worker 0 relayed
+# to it, and worker 0's own worker.step span.
+JOINED=
+for n in $(sed -n 's/^{"type":"span","trace":\([1-9][0-9]*\),"component":"coord","name":"coord.step".*/\1/p' \
+    "$LOGDIR/coord.trace" | head -n 200); do
+    if grep -q "^{\"type\":\"span\",\"trace\":$n,\"component\":\"worker\.0\"," "$LOGDIR/coord.trace" &&
+        grep -q "^{\"type\":\"span\",\"trace\":$n,\"component\":\"worker\",\"name\":\"worker\.step\"" "$LOGDIR/w0.trace"; then
+        JOINED=$n
+        break
+    fi
+done
+if [ -z "$JOINED" ]; then
+    echo "cluster_smoke: no trace id joins coord.step, the relayed worker.0 span and worker 0's worker.step" >&2
+    head -5 "$LOGDIR/coord.trace" "$LOGDIR/w0.trace" >&2 || true
+    exit 1
+fi
+echo "cluster_smoke: trace $JOINED joins coordinator and worker spans"
 
 # Phase 2: crash, degrade, rejoin, recover, graceful shutdown. The short
 # round timeout bounds how long the survivor blocks on the dead peer, and
