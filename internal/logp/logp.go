@@ -66,33 +66,6 @@ func (p Params) AllToAllTime(sizes [][]int) float64 {
 	return t
 }
 
-// FloodAllToAllTime models the naive alternative the paper's schedule
-// avoids: every processor sends concurrently and the network carries all
-// messages at once. The optimistic full-bisection bound is one latency plus
-// the busiest processor's serialised send work. The paper chose the
-// one-message-at-a-time schedule despite its higher model time because it
-// "mitigates network flooding" and keeps performance predictable; the
-// schedule ablation benchmarks compare the two.
-func (p Params) FloodAllToAllTime(sizes [][]int) float64 {
-	var busiest float64
-	for i := range sizes {
-		var work float64
-		for j := range sizes[i] {
-			if i == j || sizes[i][j] == 0 {
-				continue
-			}
-			work += 2*p.Overhead + float64(sizes[i][j])*p.Gap
-		}
-		if work > busiest {
-			busiest = work
-		}
-	}
-	if busiest == 0 {
-		return 0
-	}
-	return p.Latency + busiest
-}
-
 // BroadcastTime returns the modelled time for a binomial-tree broadcast of
 // one payload to all P processors: ceil(log2 P) sequential rounds.
 func (p Params) BroadcastTime(bytes int) float64 {

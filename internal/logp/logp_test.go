@@ -55,39 +55,6 @@ func TestAllToAllIgnoresDiagonal(t *testing.T) {
 	}
 }
 
-func TestFloodAllToAllBusiestSender(t *testing.T) {
-	p := Params{Latency: 1, Overhead: 0.5, Gap: 0, P: 3}
-	sizes := [][]int{
-		{0, 10, 10}, // two sends: work = 2*2*0.5 = 2
-		{10, 0, 0},  // one send: work = 1
-		{0, 0, 0},
-	}
-	if got := p.FloodAllToAllTime(sizes); math.Abs(got-3) > 1e-12 { // L + busiest = 1 + 2
-		t.Fatalf("flood %g, want 3", got)
-	}
-	if got := p.FloodAllToAllTime([][]int{{0}}); got != 0 {
-		t.Fatalf("empty flood %g", got)
-	}
-}
-
-func TestFloodBelowSchedule(t *testing.T) {
-	// With many messages the flood model (concurrent) must be cheaper than
-	// the paper's strictly serial schedule.
-	p := GigabitCluster(16)
-	sizes := make([][]int, 16)
-	for i := range sizes {
-		sizes[i] = make([]int, 16)
-		for j := range sizes[i] {
-			if i != j {
-				sizes[i][j] = 4096
-			}
-		}
-	}
-	if p.FloodAllToAllTime(sizes) >= p.AllToAllTime(sizes) {
-		t.Fatal("flood model not below serial schedule")
-	}
-}
-
 func TestBroadcastLogRounds(t *testing.T) {
 	p := Params{Latency: 1, Overhead: 0, Gap: 0, P: 16, MaxMsg: 0}
 	if got := p.BroadcastTime(1); math.Abs(got-4) > 1e-12 { // log2(16)=4 rounds

@@ -167,34 +167,6 @@ func APSP(v graph.View, workers int) map[graph.ID][]int32 {
 	return out
 }
 
-// FloydWarshallLocal refreshes the local part of a processor's distance
-// vectors: given the local vertex list and a square matrix local[i][j] of
-// current bounds between local vertices (indexed by position in locals), it
-// closes the matrix under min-plus so every intra-subgraph detour is applied.
-// The paper uses this as the optional "update local DVs" recombination step.
-// The matrix is modified in place.
-func FloydWarshallLocal(local [][]int32) {
-	n := len(local)
-	for k := 0; k < n; k++ {
-		rowK := local[k]
-		for i := 0; i < n; i++ {
-			dik := local[i][k]
-			if dik == Inf {
-				continue
-			}
-			rowI := local[i]
-			for j := 0; j < n; j++ {
-				if rowK[j] == Inf {
-					continue
-				}
-				if d := dik + rowK[j]; d < rowI[j] {
-					rowI[j] = d
-				}
-			}
-		}
-	}
-}
-
 func newInfSlice(n int) []int32 {
 	s := make([]int32, n)
 	for i := range s {

@@ -140,48 +140,6 @@ func TestDijkstraLocalNoEdgeBetweenBoundaries(t *testing.T) {
 	}
 }
 
-func TestFloydWarshallLocal(t *testing.T) {
-	inf := Inf
-	m := [][]int32{
-		{0, 1, inf},
-		{1, 0, 1},
-		{inf, 1, 0},
-	}
-	FloydWarshallLocal(m)
-	if m[0][2] != 2 || m[2][0] != 2 {
-		t.Fatalf("closure failed: %v", m)
-	}
-}
-
-func TestFloydWarshallLocalMatchesDijkstra(t *testing.T) {
-	g := gen.Grid(5, 5, gen.Config{MaxWeight: 4})
-	n := g.NumIDs()
-	m := make([][]int32, n)
-	for i := range m {
-		m[i] = make([]int32, n)
-		for j := range m[i] {
-			if i == j {
-				m[i][j] = 0
-			} else {
-				m[i][j] = Inf
-			}
-		}
-	}
-	for _, e := range g.Edges() {
-		m[e.U][e.V] = e.W
-		m[e.V][e.U] = e.W
-	}
-	FloydWarshallLocal(m)
-	d := APSP(g, 1)
-	for u := 0; u < n; u++ {
-		for v := 0; v < n; v++ {
-			if m[u][v] != d[graph.ID(u)][v] {
-				t.Fatalf("FW %d vs Dijkstra %d at (%d,%d)", m[u][v], d[graph.ID(u)][v], u, v)
-			}
-		}
-	}
-}
-
 // Property: Dijkstra distances satisfy the triangle inequality over edges
 // and match Bellman-Ford on random weighted graphs.
 func TestPropertyDijkstraCorrect(t *testing.T) {

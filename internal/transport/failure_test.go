@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -21,10 +22,28 @@ import (
 // contract throughout: errors surface within the configured deadlines, stale
 // bytes are never returned as fresh data, and nothing hangs.
 
-// framingMesh returns a connection-less TCPLoopback carrying only the config,
-// for driving readRound directly.
-func framingMesh() *TCPLoopback {
-	return &TCPLoopback{n: 2, cfg: Config{}.Normalize()}
+// readRound reads one round's frames from br through the shared record
+// reader, with the default frame cap.
+func readRound(br *bufio.Reader, want uint32) ([][]byte, error) {
+	var frames [][]byte
+	err := readRecords(br, want, Config{}.Normalize().MaxFrame, func(payload []byte) error {
+		frames = append(frames, payload)
+		return nil
+	})
+	return frames, err
+}
+
+// readOne reads a round that must carry exactly one frame.
+func readOne(t *testing.T, br *bufio.Reader, want uint32) []byte {
+	t.Helper()
+	frames, err := readRound(br, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(frames) != 1 {
+		t.Fatalf("round %d carried %d frames, want 1", want, len(frames))
+	}
+	return frames[0]
 }
 
 // pipePair returns a connected in-process conn pair with a deadline so a
@@ -45,7 +64,7 @@ func TestReadRoundShortHeader(t *testing.T) {
 		a.Write([]byte{7, 0}) // a fraction of a record header
 		a.Close()
 	}()
-	if _, err := framingMesh().readRound(bufio.NewReader(b), 1); err == nil {
+	if _, err := readRound(bufio.NewReader(b), 1); err == nil {
 		t.Fatal("truncated header accepted")
 	}
 }
@@ -60,7 +79,7 @@ func TestReadRoundTruncatedPayload(t *testing.T) {
 		a.Write([]byte("only twenty bytes...")) // deliver 20
 		a.Close()
 	}()
-	if _, err := framingMesh().readRound(bufio.NewReader(b), 1); err == nil {
+	if _, err := readRound(bufio.NewReader(b), 1); err == nil {
 		t.Fatal("truncated payload accepted")
 	}
 }
@@ -68,37 +87,44 @@ func TestReadRoundTruncatedPayload(t *testing.T) {
 func TestReadRoundMissingTerminator(t *testing.T) {
 	a, b := pipePair(t)
 	go func() {
-		writeFrame(a, 1, []byte("complete frame, no terminator"))
+		writeFrame(a, 1, nil, []byte("complete frame, no terminator"))
 		a.Close()
 	}()
-	if _, err := framingMesh().readRound(bufio.NewReader(b), 1); err == nil {
+	if _, err := readRound(bufio.NewReader(b), 1); err == nil {
 		t.Fatal("round without terminator accepted")
 	}
 }
 
+// TestReadRoundTwoFramesOneRound sends two tagged frames for one processor
+// pair in one round: the first is filed, the second rejected.
 func TestReadRoundTwoFramesOneRound(t *testing.T) {
 	a, b := pipePair(t)
+	tag := []byte{1, 0, 0, 0, 0, 0, 0, 0} // processor 1 -> processor 0
 	go func() {
-		writeFrame(a, 1, []byte("first"))
-		writeFrame(a, 1, []byte("second"))
+		writeFrame(a, 1, tag, []byte("first"))
+		writeFrame(a, 1, tag, []byte("second"))
 		writeTerminator(a, 1)
 	}()
-	_, err := framingMesh().readRound(bufio.NewReader(b), 1)
-	if err == nil || !strings.Contains(err.Error(), "two frames") {
+	m := &PeerMesh{self: 0, owner: []int{0, 1}}
+	in := [][][]byte{make([][]byte, 2), make([][]byte, 2)}
+	err := readRecords(bufio.NewReader(b), 1, Config{}.Normalize().MaxFrame, func(payload []byte) error {
+		return m.deliver(1, in, payload)
+	})
+	if err == nil || !strings.Contains(err.Error(), "duplicate record 1->0") {
 		t.Fatalf("second frame in a round: err = %v", err)
+	}
+	if string(in[0][1]) != "first" {
+		t.Fatalf("first frame filed as %q", in[0][1])
 	}
 }
 
 func TestReadRoundZeroLengthFrame(t *testing.T) {
 	a, b := pipePair(t)
 	go func() {
-		writeFrame(a, 1, []byte{})
+		writeFrame(a, 1, nil, []byte{})
 		writeTerminator(a, 1)
 	}()
-	frame, err := framingMesh().readRound(bufio.NewReader(b), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	frame := readOne(t, bufio.NewReader(b), 1)
 	// A zero-length frame is a real (empty) message, distinct from the nil
 	// of "nothing sent this round".
 	if frame == nil || len(frame) != 0 {
@@ -110,17 +136,13 @@ func TestReadRoundDrainsStaleRecords(t *testing.T) {
 	a, b := pipePair(t)
 	go func() {
 		// Leftovers of aborted rounds 1 and 2, then the live round 3.
-		writeFrame(a, 1, []byte("stale one"))
+		writeFrame(a, 1, nil, []byte("stale one"))
 		writeTerminator(a, 1)
-		writeFrame(a, 2, []byte("stale two"))
-		writeFrame(a, 3, []byte("fresh"))
+		writeFrame(a, 2, nil, []byte("stale two"))
+		writeFrame(a, 3, nil, []byte("fresh"))
 		writeTerminator(a, 3)
 	}()
-	frame, err := framingMesh().readRound(bufio.NewReader(b), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(frame) != "fresh" {
+	if frame := readOne(t, bufio.NewReader(b), 3); string(frame) != "fresh" {
 		t.Fatalf("round 3 read %q, want the fresh frame", frame)
 	}
 }
@@ -128,10 +150,10 @@ func TestReadRoundDrainsStaleRecords(t *testing.T) {
 func TestReadRoundRejectsFutureSeq(t *testing.T) {
 	a, b := pipePair(t)
 	go func() {
-		writeFrame(a, 9, []byte("from the future"))
+		writeFrame(a, 9, nil, []byte("from the future"))
 		writeTerminator(a, 9)
 	}()
-	_, err := framingMesh().readRound(bufio.NewReader(b), 3)
+	_, err := readRound(bufio.NewReader(b), 3)
 	if err == nil || !strings.Contains(err.Error(), "future round") {
 		t.Fatalf("future-round frame: err = %v", err)
 	}
@@ -141,14 +163,10 @@ func TestReadRoundResyncsPastGarbage(t *testing.T) {
 	a, b := pipePair(t)
 	go func() {
 		a.Write([]byte("line noise that is definitely not a record header"))
-		writeFrame(a, 1, []byte("recovered"))
+		writeFrame(a, 1, nil, []byte("recovered"))
 		writeTerminator(a, 1)
 	}()
-	frame, err := framingMesh().readRound(bufio.NewReader(b), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(frame) != "recovered" {
+	if frame := readOne(t, bufio.NewReader(b), 1); string(frame) != "recovered" {
 		t.Fatalf("resync read %q", frame)
 	}
 }
@@ -163,14 +181,10 @@ func TestReadRoundHugeLengthHeaderDoesNotAllocate(t *testing.T) {
 		putRecordHeader(hdr[:], 1, 0xFFFFFFF0) // not the terminator marker
 		binary.LittleEndian.PutUint32(hdr[12:16], crc32.ChecksumIEEE(hdr[:12]))
 		a.Write(hdr[:])
-		writeFrame(a, 1, []byte("after the bomb"))
+		writeFrame(a, 1, nil, []byte("after the bomb"))
 		writeTerminator(a, 1)
 	}()
-	frame, err := framingMesh().readRound(bufio.NewReader(b), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(frame) != "after the bomb" {
+	if frame := readOne(t, bufio.NewReader(b), 1); string(frame) != "after the bomb" {
 		t.Fatalf("read %q", frame)
 	}
 }
@@ -188,7 +202,7 @@ func TestReadRoundCRCMismatch(t *testing.T) {
 		a.Write(payload)
 		writeTerminator(a, 1)
 	}()
-	_, err := framingMesh().readRound(bufio.NewReader(b), 1)
+	_, err := readRound(bufio.NewReader(b), 1)
 	if err == nil || !strings.Contains(err.Error(), "crc") {
 		t.Fatalf("corrupt payload: err = %v", err)
 	}
@@ -246,14 +260,33 @@ func meshFrames(n int, fill func(src, dst int) []byte) [][][]byte {
 	return frames
 }
 
+// swapOut replaces endpoint e's outbound connection to worker w with
+// wrap(conn), so the next round writes through the wrapper.
+func swapOut(e *PeerMesh, w int, wrap func(net.Conn) net.Conn) {
+	e.mu.Lock()
+	e.out[w] = wrap(e.out[w])
+	e.mu.Unlock()
+}
+
+// refuseDial is a dial hook under which every redial fails.
+func refuseDial(string, time.Duration) (net.Conn, error) {
+	return nil, errors.New("injected dial refusal")
+}
+
 // TestRoundTripRetriesTornWrite tears one connection's first write mid-header
-// and expects the round to succeed on retry, with the retry counted and the
-// receiver resynchronised past the torn bytes.
+// and refuses the endpoint's one redial, so the attempt fails; the round must
+// then succeed on retry, with the retry counted and the receiver reading the
+// fresh attempt past the torn bytes.
 func TestRoundTripRetriesTornWrite(t *testing.T) {
-	mesh := fastMesh(t, 3, Config{RoundTimeout: 2 * time.Second, RetryBackoff: time.Millisecond})
+	mesh := fastMesh(t, 3, Config{RoundTimeout: 300 * time.Millisecond, RetryBackoff: time.Millisecond})
 	reg := obs.NewRegistry()
 	mesh.SetObs(reg)
-	mesh.conns[0][1] = &flakyConn{Conn: mesh.conns[0][1], failWrites: 1, partial: true}
+	e := mesh.ends[0]
+	swapOut(e, 1, func(c net.Conn) net.Conn { return &flakyConn{Conn: c, failWrites: 1, partial: true} })
+	e.dial = func(addr string, timeout time.Duration) (net.Conn, error) {
+		e.dial = dialTCP // refuse once; the retry dials normally
+		return refuseDial(addr, timeout)
+	}
 	frames := meshFrames(3, func(src, dst int) []byte {
 		return []byte{byte(src), byte(dst), 0xAB}
 	})
@@ -277,12 +310,21 @@ func TestRoundTripRetriesTornWrite(t *testing.T) {
 }
 
 // TestRoundTripFailsWithinDeadlineNoHang removes the retry budget and breaks
-// one sender permanently: the round must error out within the round deadline
-// — the regression test for the missing-terminator deadlock, where receivers
-// blocked forever on a peer that bailed out.
+// one sender permanently, redials included: the round must error out within
+// the round deadline — the regression test for the missing-terminator
+// deadlock, where receivers blocked forever on a peer that bailed out.
 func TestRoundTripFailsWithinDeadlineNoHang(t *testing.T) {
 	mesh := fastMesh(t, 3, Config{RoundTimeout: 500 * time.Millisecond, MaxAttempts: 1})
-	mesh.conns[0][1] = &flakyConn{Conn: mesh.conns[0][1], failWrites: 1 << 30}
+	dead := func(c net.Conn) net.Conn { return &flakyConn{Conn: c, failWrites: 1 << 30} }
+	e := mesh.ends[0]
+	swapOut(e, 1, dead)
+	e.dial = func(addr string, timeout time.Duration) (net.Conn, error) {
+		c, err := dialTCP(addr, timeout)
+		if err != nil {
+			return nil, err
+		}
+		return dead(c), nil
+	}
 	frames := meshFrames(3, func(src, dst int) []byte { return []byte("payload") })
 	done := make(chan error, 1)
 	go func() {
@@ -299,18 +341,11 @@ func TestRoundTripFailsWithinDeadlineNoHang(t *testing.T) {
 	}
 }
 
-// gateConn passes writes through until armed: arm(n) allows the next n
-// writes and fails every later one; arm(-1) restores pass-through.
+// gateConn passes its first gate writes through and fails every later one.
 type gateConn struct {
 	net.Conn
 	mu   sync.Mutex
-	gate int // -1 = pass everything, n >= 0 = allow n more writes then fail
-}
-
-func (c *gateConn) arm(n int) {
-	c.mu.Lock()
-	c.gate = n
-	c.mu.Unlock()
+	gate int
 }
 
 func (c *gateConn) Write(p []byte) (int, error) {
@@ -327,21 +362,22 @@ func (c *gateConn) Write(p []byte) (int, error) {
 }
 
 // TestRoundAfterFailureDeliversFreshData fails one round completely — the
-// frame goes out whole but its terminator does not, leaving a complete stale
-// frame parked in the receiver's buffer — then runs a healthy round and
-// checks every delivered frame is the new round's, never the leftovers.
+// frame goes out whole but its terminator does not, and the redial is
+// refused, leaving a complete stale frame on the wire — then runs a healthy
+// round and checks every delivered frame is the new round's, never the
+// leftovers.
 func TestRoundAfterFailureDeliversFreshData(t *testing.T) {
 	mesh := fastMesh(t, 3, Config{RoundTimeout: 400 * time.Millisecond, MaxAttempts: 1})
-	g := &gateConn{Conn: mesh.conns[0][1], gate: -1}
-	mesh.conns[0][1] = g
+	e := mesh.ends[0]
 	// writeFrame is two writes (header, payload); the terminator is the
 	// third. Allow exactly two, so the stale frame lands intact.
-	g.arm(2)
+	swapOut(e, 1, func(c net.Conn) net.Conn { return &gateConn{Conn: c, gate: 2} })
+	e.dial = refuseDial
 	staleRound := meshFrames(3, func(src, dst int) []byte { return []byte("stale") })
 	if _, err := mesh.RoundTrip(staleRound); err == nil {
 		t.Fatal("expected the sabotaged round to fail")
 	}
-	g.arm(-1)
+	e.dial = dialTCP
 	freshRound := meshFrames(3, func(src, dst int) []byte { return []byte("fresh") })
 	in, err := mesh.RoundTrip(freshRound)
 	if err != nil {
@@ -401,7 +437,7 @@ func (c *errCloseConn) Close() error {
 }
 
 // TestCloseSurfacesInboxErrors plants a failing Close on an accept-side
-// (inbox) connection: the mesh's Close must report it, not just dial-side
+// (inbound) connection: the mesh's Close must report it, not just dial-side
 // errors.
 func TestCloseSurfacesInboxErrors(t *testing.T) {
 	mesh, err := NewTCPLoopback(2)
@@ -409,86 +445,78 @@ func TestCloseSurfacesInboxErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := errors.New("inbox close failed")
-	mesh.inbox[0][1] = &errCloseConn{Conn: mesh.inbox[0][1], err: boom}
+	e := mesh.ends[0]
+	e.mu.Lock()
+	e.in[1] = &errCloseConn{Conn: e.in[1], err: boom}
+	e.mu.Unlock()
 	if got := mesh.Close(); !errors.Is(got, boom) {
 		t.Fatalf("Close = %v, want the inbox-side error", got)
 	}
+}
+
+// acceptOnly starts a 2-worker mesh endpoint (worker 0) whose peer never
+// comes up, for driving its accept side by hand.
+func acceptOnly(t *testing.T, cfg Config) *PeerMesh {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewPeerMesh(l, PeerConfig{Self: 0, Addrs: []string{l.Addr().String(), "127.0.0.1:1"}, Owner: []int{0, 1}, Config: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	return m
 }
 
 // TestSetupToleratesRogueDialer connects a rogue that aborts mid-hello; the
 // accept side must discard it and still complete the handshake with the
 // legitimate dialer.
 func TestSetupToleratesRogueDialer(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	m := acceptOnly(t, Config{SetupTimeout: 5 * time.Second})
+	// Rogue: half a hello, then gone.
+	if c, err := net.Dial("tcp", m.Addr()); err == nil {
+		c.Write([]byte{1})
+		c.Close()
+	}
+	// Legitimate dialer: rank 1's full versioned hello.
+	c, err := net.Dial("tcp", m.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
-	tr := &TCPLoopback{n: 2, cfg: Config{SetupTimeout: 5 * time.Second}.Normalize()}
-	tr.inbox = [][]net.Conn{make([]net.Conn, 2), make([]net.Conn, 2)}
-	tr.readers = [][]*bufio.Reader{make([]*bufio.Reader, 2), make([]*bufio.Reader, 2)}
-
-	go func() {
-		// Rogue: half a hello, then gone.
-		if c, err := net.Dial("tcp", l.Addr().String()); err == nil {
-			c.Write([]byte{1})
-			c.Close()
-		}
-		// Legitimate dialer: rank 1's full versioned hello.
-		c, err := net.Dial("tcp", l.Addr().String())
-		if err != nil {
-			return
-		}
-		var hello [helloLen]byte
-		putHello(hello[:], 1)
-		c.Write(hello[:])
-		// Keep the conn open; the test closes it via tr fields below.
-	}()
-
-	done := make(chan error, 1)
-	go func() { done <- tr.acceptPeers(0, l, time.Now().Add(5*time.Second)) }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("acceptPeers failed despite a valid dialer: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("acceptPeers hung on a rogue dialer")
+	defer c.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	if err := DialHello(c, 1, deadline); err != nil {
+		t.Fatalf("legitimate hello rejected after a rogue dialer: %v", err)
 	}
-	if tr.inbox[0][1] == nil {
-		t.Fatal("legitimate hello not registered")
+	if _, _, err := m.getIn(1, nil, deadline); err != nil {
+		t.Fatalf("legitimate hello not registered: %v", err)
 	}
-	tr.inbox[0][1].Close()
 }
 
 // TestSetupStalledHelloTimesOut connects a dialer that never sends its hello:
-// setup must abort within the setup deadline instead of hanging forever —
-// the regression test for the unbounded accept-side hello read.
+// the endpoint must close it within the setup deadline and register no
+// inbound connection for it — the regression test for the unbounded
+// accept-side hello read.
 func TestSetupStalledHelloTimesOut(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	tr := &TCPLoopback{n: 2, cfg: Config{SetupTimeout: 300 * time.Millisecond}.Normalize()}
-	tr.inbox = [][]net.Conn{make([]net.Conn, 2), make([]net.Conn, 2)}
-	tr.readers = [][]*bufio.Reader{make([]*bufio.Reader, 2), make([]*bufio.Reader, 2)}
-
-	staller, err := net.Dial("tcp", l.Addr().String())
+	m := acceptOnly(t, Config{SetupTimeout: 300 * time.Millisecond})
+	staller, err := net.Dial("tcp", m.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer staller.Close()
-
-	done := make(chan error, 1)
-	go func() { done <- tr.acceptPeers(0, l, time.Now().Add(300*time.Millisecond)) }()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("acceptPeers succeeded without any hello")
+	staller.SetReadDeadline(time.Now().Add(3 * time.Second)) // ten setup deadlines
+	var buf [1]byte
+	if _, err := staller.Read(buf[:]); !errors.Is(err, io.EOF) {
+		t.Fatalf("stalled dialer read %v, want EOF from the endpoint closing it", err)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for w, c := range m.in {
+		if c != nil {
+			t.Fatalf("stalled dialer registered as worker %d", w)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("acceptPeers hung on a stalled hello")
 	}
 }
 

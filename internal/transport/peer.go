@@ -12,12 +12,12 @@ import (
 	"aacc/internal/obs"
 )
 
-// PeerMesh is a mesh of TCP connections between worker *processes*. Where
-// TCPLoopback pretends each simulated processor owns a socket inside one
-// address space, PeerMesh carries the same framed rounds between separately
-// started processes that find each other by configured address: each worker
-// listens on its own address, dials its peers on demand, and multiplexes the
-// frames of all its resident processors over one connection per peer.
+// PeerMesh is one endpoint of a mesh of TCP connections between workers. The
+// workers find each other by configured address: each listens on its own
+// address, dials its peers on demand, and multiplexes the frames of all its
+// resident processors over one connection per peer. A coordinator/worker
+// cluster runs one endpoint per worker process; TCPLoopback runs one per
+// simulated processor inside a single process.
 //
 // The mesh is built for churn. The accept loop runs for the mesh's whole
 // lifetime, and a fresh hello from a known worker *replaces* that worker's
@@ -26,20 +26,24 @@ import (
 // when a round needs them. Round sequence numbers are supplied by the caller
 // (the coordinator distributes one global sequence), so every worker stamps
 // the same collective with the same seq and restarts cannot diverge; a
-// failed round is not retried here — the coordinator decides.
+// failed round is not retried here — the caller decides.
 type PeerMesh struct {
 	self  int      // this worker's index in addrs
 	addrs []string // mesh address of every worker
 	owner []int    // processor -> worker index
 	cfg   Config
 	ln    net.Listener
+	// dial opens an outbound connection; tests swap it to inject faults.
+	dial func(addr string, timeout time.Duration) (net.Conn, error)
 
-	mu     sync.Mutex
-	out    []net.Conn // out[w]: dialed connection to worker w
-	in     []net.Conn // in[w]: accepted connection from worker w
-	inR    []*bufio.Reader
-	wait   chan struct{} // closed+replaced whenever an inbound conn lands
-	closed bool
+	mu      sync.Mutex
+	out     []net.Conn // out[w]: dialed connection to worker w
+	in      []net.Conn // in[w]: accepted connection from worker w
+	inR     []*bufio.Reader
+	inGen   []uint64              // accept order of in[w]; a later accept wins
+	pending map[net.Conn]struct{} // accepted, hello not yet read
+	wait    chan struct{}         // closed+replaced whenever an inbound conn lands
+	closed  bool
 
 	acceptDone chan struct{}
 
@@ -87,14 +91,21 @@ func NewPeerMesh(ln net.Listener, cfg PeerConfig) (*PeerMesh, error) {
 		owner:      append([]int(nil), cfg.Owner...),
 		cfg:        cfg.Config.Normalize(),
 		ln:         ln,
+		dial:       dialTCP,
 		out:        make([]net.Conn, n),
 		in:         make([]net.Conn, n),
 		inR:        make([]*bufio.Reader, n),
+		inGen:      make([]uint64, n),
+		pending:    make(map[net.Conn]struct{}),
 		wait:       make(chan struct{}),
 		acceptDone: make(chan struct{}),
 	}
 	go m.acceptLoop()
 	return m, nil
+}
+
+func dialTCP(addr string, timeout time.Duration) (net.Conn, error) {
+	return net.DialTimeout("tcp", addr, timeout)
 }
 
 // SetObs registers the mesh's wire metrics against reg. Per-peer counters
@@ -126,20 +137,17 @@ func (m *PeerMesh) notePeerFailure(w int) {
 	m.rec.Record("transport", "peer-failure", 0, fmt.Sprintf("remote worker %d", w))
 }
 
-// acceptLoop admits inbound peer connections for the mesh's lifetime. A
-// hello from a worker that already has an inbound slot replaces it (the old
-// connection is closed): that is how a restarted peer rejoins.
+// acceptLoop admits inbound peer connections for the mesh's lifetime. Each
+// hello is read on its own goroutine, so a dialer that connects and stays
+// silent delays nobody else's (re)join.
 func (m *PeerMesh) acceptLoop() {
+	var hellos sync.WaitGroup
 	defer close(m.acceptDone)
-	for {
+	defer hellos.Wait()
+	for gen := uint64(1); ; gen++ {
 		conn, err := m.ln.Accept()
 		if err != nil {
 			return // listener closed: the mesh is shutting down
-		}
-		rank, err := AcceptHello(conn, len(m.addrs), time.Now().Add(m.cfg.SetupTimeout))
-		if err != nil || rank == m.self {
-			conn.Close()
-			continue
 		}
 		m.mu.Lock()
 		if m.closed {
@@ -147,28 +155,53 @@ func (m *PeerMesh) acceptLoop() {
 			conn.Close()
 			return
 		}
-		if old := m.in[rank]; old != nil {
-			old.Close()
-		}
-		m.in[rank] = conn
-		m.inR[rank] = bufio.NewReaderSize(conn, 1<<16)
-		close(m.wait)
-		m.wait = make(chan struct{})
+		m.pending[conn] = struct{}{}
 		m.mu.Unlock()
+		hellos.Add(1)
+		go func(conn net.Conn, gen uint64) {
+			defer hellos.Done()
+			m.admit(conn, gen)
+		}(conn, gen)
 	}
 }
 
-// getIn waits (until deadline) for an inbound connection from worker w. The
-// wait is how a round started just after a peer restarts still completes:
-// the reader blocks here until the peer's redial lands.
-func (m *PeerMesh) getIn(w int, deadline time.Time) (net.Conn, *bufio.Reader, error) {
+// admit reads conn's hello under SetupTimeout and installs conn as the
+// dialer's inbound connection. A hello from a worker that already has an
+// inbound slot replaces it (the old connection is closed): that is how a
+// restarted peer rejoins. The ack goes out before the slot is taken, so two
+// hellos from one worker can finish out of order; the later-accepted
+// connection wins.
+func (m *PeerMesh) admit(conn net.Conn, gen uint64) {
+	rank, err := AcceptHello(conn, len(m.addrs), time.Now().Add(m.cfg.SetupTimeout))
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	delete(m.pending, conn)
+	if m.closed {
+		return // conn was still pending when Close ran, so Close closed it
+	}
+	if err != nil || rank == m.self || gen < m.inGen[rank] {
+		conn.Close()
+		return
+	}
+	if old := m.in[rank]; old != nil {
+		old.Close()
+	}
+	m.in[rank], m.inR[rank], m.inGen[rank] = conn, bufio.NewReaderSize(conn, 1<<16), gen
+	close(m.wait)
+	m.wait = make(chan struct{})
+}
+
+// getIn waits (until deadline) for an inbound connection from worker w other
+// than stale. The wait is how a round started just after a peer restarts
+// still completes: the reader blocks here until the peer's redial lands.
+func (m *PeerMesh) getIn(w int, stale net.Conn, deadline time.Time) (net.Conn, *bufio.Reader, error) {
 	for {
 		m.mu.Lock()
 		if m.closed {
 			m.mu.Unlock()
 			return nil, nil, net.ErrClosed
 		}
-		if c := m.in[w]; c != nil {
+		if c := m.in[w]; c != nil && c != stale {
 			r := m.inR[w]
 			m.mu.Unlock()
 			return c, r, nil
@@ -177,14 +210,13 @@ func (m *PeerMesh) getIn(w int, deadline time.Time) (net.Conn, *bufio.Reader, er
 		m.mu.Unlock()
 		d := time.Until(deadline)
 		if d <= 0 {
-			return nil, nil, fmt.Errorf("no inbound connection from worker %d (%s)", w, m.addrs[w])
+			return nil, nil, fmt.Errorf("no inbound connection from worker %d (%s) within deadline", w, m.addrs[w])
 		}
 		t := time.NewTimer(d)
 		select {
 		case <-ch:
 			t.Stop()
 		case <-t.C:
-			return nil, nil, fmt.Errorf("no inbound connection from worker %d (%s) within deadline", w, m.addrs[w])
 		}
 	}
 }
@@ -201,7 +233,7 @@ func (m *PeerMesh) getOut(w int, deadline time.Time) (net.Conn, error) {
 		return c, nil
 	}
 	m.mu.Unlock()
-	conn, err := net.DialTimeout("tcp", m.addrs[w], time.Until(deadline))
+	conn, err := m.dial(m.addrs[w], time.Until(deadline))
 	if err != nil {
 		return nil, err
 	}
@@ -225,13 +257,17 @@ func (m *PeerMesh) getOut(w int, deadline time.Time) (net.Conn, error) {
 }
 
 // dropOut discards a failed outbound connection so the next round redials.
+// If Close already took c, closing it is left to Close.
 func (m *PeerMesh) dropOut(w int, c net.Conn) {
 	m.mu.Lock()
-	if m.out[w] == c {
+	owned := m.out[w] == c
+	if owned {
 		m.out[w] = nil
 	}
 	m.mu.Unlock()
-	c.Close()
+	if owned {
+		c.Close()
+	}
 }
 
 // Each data record in a peer round is tagged with its logical endpoints,
@@ -252,6 +288,10 @@ const peerTagLen = 8
 // caller must not reuse seq for the repaired round (stale records are
 // drained by sequence number on the next call).
 func (m *PeerMesh) RoundTrip(seq uint32, frames [][][]byte) ([][][]byte, error) {
+	return m.roundTrip(seq, frames, time.Now().Add(m.cfg.RoundTimeout))
+}
+
+func (m *PeerMesh) roundTrip(seq uint32, frames [][][]byte, deadline time.Time) ([][][]byte, error) {
 	p := len(m.owner)
 	if len(frames) != p {
 		return nil, fmt.Errorf("transport: peer round needs %d rows, got %d", p, len(frames))
@@ -272,48 +312,9 @@ func (m *PeerMesh) RoundTrip(seq uint32, frames [][][]byte) ([][][]byte, error) 
 			}
 		}
 	}
-	deadline := time.Now().Add(m.cfg.RoundTimeout)
-	var wg sync.WaitGroup
-	var inMu sync.Mutex
-	errs := make(chan error, 2*len(m.addrs))
-	for w := range m.addrs {
-		if w == m.self {
-			continue
-		}
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			if err := m.sendTo(w, seq, frames, deadline); err != nil {
-				m.notePeerFailure(w)
-				errs <- fmt.Errorf("transport: send to worker %d (round %d): %w", w, seq, err)
-			}
-		}(w)
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			if err := m.recvFrom(w, seq, in, &inMu, deadline); err != nil {
-				m.notePeerFailure(w)
-				errs <- fmt.Errorf("transport: recv from worker %d (round %d): %w", w, seq, err)
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		m.roundFails.Inc()
-		return nil, err
-	}
-	return in, nil
-}
-
-// sendTo writes this worker's frames destined for worker w, then the round
-// terminator. A write failure on a cached connection triggers one redial
-// within the round deadline — the fast path for a peer that restarted since
-// the last round.
-func (m *PeerMesh) sendTo(w int, seq uint32, frames [][][]byte, deadline time.Time) error {
-	send := func(conn net.Conn) error {
-		conn.SetWriteDeadline(deadline)
-		for src := 0; src < len(m.owner); src++ {
+	write := func(w int, conn net.Conn) error {
+		var tag [peerTagLen]byte
+		for src := 0; src < p; src++ {
 			if m.owner[src] != m.self || frames[src] == nil {
 				continue
 			}
@@ -321,129 +322,43 @@ func (m *PeerMesh) sendTo(w int, seq uint32, frames [][][]byte, deadline time.Ti
 				if frame == nil || m.owner[dst] != w {
 					continue
 				}
-				tagged := make([]byte, peerTagLen+len(frame))
-				binary.LittleEndian.PutUint32(tagged[0:4], uint32(src))
-				binary.LittleEndian.PutUint32(tagged[4:8], uint32(dst))
-				copy(tagged[peerTagLen:], frame)
-				if err := writeFrame(conn, seq, tagged); err != nil {
+				binary.LittleEndian.PutUint32(tag[0:4], uint32(src))
+				binary.LittleEndian.PutUint32(tag[4:8], uint32(dst))
+				if err := writeFrame(conn, seq, tag[:], frame); err != nil {
 					return err
 				}
 			}
 		}
-		return writeTerminator(conn, seq)
-	}
-	conn, err := m.getOut(w, deadline)
-	if err != nil {
-		return err
-	}
-	if err := send(conn); err == nil {
 		return nil
 	}
-	// One redial: the cached connection may be a casualty of the peer's
-	// earlier crash even though the peer itself is back.
-	m.dropOut(w, conn)
-	if m.reconnects != nil && m.reconnects[w] != nil {
-		m.reconnects[w].Inc()
-	}
-	m.rec.Record("transport", "peer-reconnect", uint64(seq), fmt.Sprintf("re-dialing worker %d", w))
-	conn, err = m.getOut(w, deadline)
+	err := m.collective(seq, deadline, write, func(w int, payload []byte) error {
+		return m.deliver(w, in, payload)
+	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if err := send(conn); err != nil {
-		m.dropOut(w, conn)
-		return err
+	return in, nil
+}
+
+// deliver files one tagged record received from worker w into in, rejecting
+// records this worker should not have been sent.
+func (m *PeerMesh) deliver(w int, in [][][]byte, payload []byte) error {
+	if len(payload) < peerTagLen {
+		return fmt.Errorf("short peer record (%d bytes)", len(payload))
 	}
+	src := int(binary.LittleEndian.Uint32(payload[0:4]))
+	dst := int(binary.LittleEndian.Uint32(payload[4:8]))
+	if src < 0 || src >= len(m.owner) || m.owner[src] != w {
+		return fmt.Errorf("record claims source processor %d, not resident on worker %d", src, w)
+	}
+	if dst < 0 || dst >= len(m.owner) || m.owner[dst] != m.self {
+		return fmt.Errorf("record for processor %d, not resident here", dst)
+	}
+	if in[dst][src] != nil {
+		return fmt.Errorf("duplicate record %d->%d", src, dst)
+	}
+	in[dst][src] = payload[peerTagLen:]
 	return nil
-}
-
-// recvFrom drains worker w's records for round seq into the result matrix.
-// A read failure does not doom the round immediately: if a fresh inbound
-// connection from w lands within the deadline (the peer restarted and
-// redialed), the partial contribution is wiped and the round is re-read from
-// the replacement — so the first round after a rejoin completes instead of
-// failing on the dead incarnation's connection.
-func (m *PeerMesh) recvFrom(w int, seq uint32, in [][][]byte, inMu *sync.Mutex, deadline time.Time) error {
-	readOnce := func(br *bufio.Reader) error {
-		return readRecords(br, seq, m.cfg.MaxFrame, func(payload []byte) error {
-			if len(payload) < peerTagLen {
-				return fmt.Errorf("short peer record (%d bytes)", len(payload))
-			}
-			src := int(binary.LittleEndian.Uint32(payload[0:4]))
-			dst := int(binary.LittleEndian.Uint32(payload[4:8]))
-			if src < 0 || src >= len(m.owner) || m.owner[src] != w {
-				return fmt.Errorf("record claims source processor %d, not resident on worker %d", src, w)
-			}
-			if dst < 0 || dst >= len(m.owner) || m.owner[dst] != m.self {
-				return fmt.Errorf("record for processor %d, not resident here", dst)
-			}
-			inMu.Lock()
-			defer inMu.Unlock()
-			if in[dst][src] != nil {
-				return fmt.Errorf("duplicate record %d->%d", src, dst)
-			}
-			in[dst][src] = payload[peerTagLen:]
-			return nil
-		})
-	}
-	var lastErr error
-	for {
-		conn, br, err := m.getIn(w, deadline)
-		if err != nil {
-			if lastErr != nil {
-				return lastErr
-			}
-			return err
-		}
-		conn.SetReadDeadline(deadline)
-		if err := readOnce(br); err == nil {
-			return nil
-		} else {
-			lastErr = err
-		}
-		if !m.awaitReplacement(w, conn, deadline) {
-			return lastErr
-		}
-		inMu.Lock()
-		for dst := range in {
-			for src := range in[dst] {
-				if m.owner[src] == w {
-					in[dst][src] = nil
-				}
-			}
-		}
-		inMu.Unlock()
-	}
-}
-
-// awaitReplacement waits until worker w's inbound connection is no longer
-// conn (a redial landed) or the deadline passes. It reports whether a
-// replacement is available.
-func (m *PeerMesh) awaitReplacement(w int, conn net.Conn, deadline time.Time) bool {
-	for {
-		m.mu.Lock()
-		if m.closed {
-			m.mu.Unlock()
-			return false
-		}
-		if m.in[w] != nil && m.in[w] != conn {
-			m.mu.Unlock()
-			return true
-		}
-		ch := m.wait
-		m.mu.Unlock()
-		d := time.Until(deadline)
-		if d <= 0 {
-			return false
-		}
-		t := time.NewTimer(d)
-		select {
-		case <-ch:
-			t.Stop()
-		case <-t.C:
-			return false
-		}
-	}
 }
 
 // AllGather shares one worker-level payload with every peer and returns all
@@ -452,90 +367,132 @@ func (m *PeerMesh) awaitReplacement(w int, conn net.Conn, deadline time.Time) bo
 // fresh seq from the caller.
 func (m *PeerMesh) AllGather(seq uint32, payload []byte) ([][]byte, error) {
 	out := make([][]byte, len(m.addrs))
+	err := m.collective(seq, time.Now().Add(m.cfg.RoundTimeout), func(w int, conn net.Conn) error {
+		return writeFrame(conn, seq, nil, payload)
+	}, func(w int, rec []byte) error {
+		if out[w] != nil {
+			return fmt.Errorf("two all-gather records from worker %d", w)
+		}
+		out[w] = rec
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for w := range out {
+		if w != m.self && out[w] == nil {
+			m.roundFails.Inc()
+			return nil, fmt.Errorf("transport: no all-gather record from worker %d (round %d)", w, seq)
+		}
+	}
 	out[m.self] = payload
-	deadline := time.Now().Add(m.cfg.RoundTimeout)
+	return out, nil
+}
+
+// collective runs one round with every peer worker at once under deadline:
+// write emits this worker's data records for peer w, and onRecord receives
+// each data record w sent. Calls for different peers run concurrently.
+func (m *PeerMesh) collective(seq uint32, deadline time.Time, write func(w int, conn net.Conn) error, onRecord func(w int, payload []byte) error) error {
+	errs := make([]error, 2*len(m.addrs))
 	var wg sync.WaitGroup
-	errs := make(chan error, 2*len(m.addrs))
 	for w := range m.addrs {
 		if w == m.self {
 			continue
 		}
-		wg.Add(1)
+		wg.Add(2)
 		go func(w int) {
 			defer wg.Done()
-			send := func(conn net.Conn) error {
-				conn.SetWriteDeadline(deadline)
-				if err := writeFrame(conn, seq, payload); err != nil {
-					return err
-				}
-				return writeTerminator(conn, seq)
-			}
-			conn, err := m.getOut(w, deadline)
-			if err == nil {
-				if err = send(conn); err != nil {
-					m.dropOut(w, conn)
-					if conn, err = m.getOut(w, deadline); err == nil {
-						if err = send(conn); err != nil {
-							m.dropOut(w, conn)
-						}
-					}
-				}
-			}
-			if err != nil {
+			if err := m.sendTo(w, seq, deadline, write); err != nil {
 				m.notePeerFailure(w)
-				errs <- fmt.Errorf("transport: all-gather send to worker %d (round %d): %w", w, seq, err)
+				errs[2*w] = fmt.Errorf("transport: send to worker %d (round %d): %w", w, seq, err)
 			}
 		}(w)
-		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var err error
-			for {
-				var conn net.Conn
-				var br *bufio.Reader
-				var gerr error
-				conn, br, gerr = m.getIn(w, deadline)
-				if gerr != nil {
-					if err == nil {
-						err = gerr
-					}
-					break
-				}
-				conn.SetReadDeadline(deadline)
-				seen := false
-				err = readRecords(br, seq, m.cfg.MaxFrame, func(p []byte) error {
-					if seen {
-						return fmt.Errorf("two all-gather records from worker %d", w)
-					}
-					seen = true
-					out[w] = p
-					return nil
-				})
-				if err == nil && !seen {
-					err = fmt.Errorf("no all-gather record from worker %d", w)
-				}
-				if err == nil || !m.awaitReplacement(w, conn, deadline) {
-					break
-				}
-				out[w] = nil
-			}
-			if err != nil {
+			if err := m.recvFrom(w, seq, deadline, onRecord); err != nil {
 				m.notePeerFailure(w)
-				errs <- fmt.Errorf("transport: all-gather recv from worker %d (round %d): %w", w, seq, err)
+				errs[2*w+1] = fmt.Errorf("transport: recv from worker %d (round %d): %w", w, seq, err)
 			}
 		}(w)
 	}
 	wg.Wait()
-	close(errs)
-	for err := range errs {
-		m.roundFails.Inc()
-		return nil, err
+	for _, err := range errs {
+		if err != nil {
+			m.roundFails.Inc()
+			return err
+		}
 	}
-	return out, nil
+	return nil
 }
 
-// Close tears the mesh down: the listener stops accepting and every
-// connection in both directions is closed. Safe to call more than once.
+// sendTo writes this worker's records for worker w, then the round
+// terminator. A write failure on a cached connection triggers one redial
+// within the round deadline — the fast path for a peer that restarted since
+// the last round.
+func (m *PeerMesh) sendTo(w int, seq uint32, deadline time.Time, write func(w int, conn net.Conn) error) error {
+	for redialed := false; ; redialed = true {
+		conn, err := m.getOut(w, deadline)
+		if err != nil {
+			return err
+		}
+		conn.SetWriteDeadline(deadline)
+		if err = write(w, conn); err == nil {
+			err = writeTerminator(conn, seq)
+		}
+		if err == nil {
+			return nil
+		}
+		m.dropOut(w, conn)
+		if redialed {
+			return err
+		}
+		// The cached connection may be a casualty of the peer's earlier
+		// crash even though the peer itself is back.
+		if m.reconnects != nil && m.reconnects[w] != nil {
+			m.reconnects[w].Inc()
+		}
+		m.rec.Record("transport", "peer-reconnect", uint64(seq), fmt.Sprintf("re-dialing worker %d", w))
+	}
+}
+
+// recvFrom reads worker w's records for round seq and hands each to onRecord
+// once the round's terminator has arrived. A read failure does not doom the
+// round immediately: if a fresh inbound connection from w lands within the
+// deadline (the peer restarted and redialed), the partial round is dropped
+// and re-read from the replacement — so the first round after a rejoin
+// completes instead of failing on the dead incarnation's connection.
+func (m *PeerMesh) recvFrom(w int, seq uint32, deadline time.Time, onRecord func(w int, payload []byte) error) error {
+	var stale net.Conn
+	var lastErr error
+	for {
+		conn, br, err := m.getIn(w, stale, deadline)
+		if err != nil {
+			if lastErr != nil {
+				return lastErr
+			}
+			return err
+		}
+		conn.SetReadDeadline(deadline)
+		var recs [][]byte
+		lastErr = readRecords(br, seq, m.cfg.MaxFrame, func(payload []byte) error {
+			recs = append(recs, payload)
+			return nil
+		})
+		if lastErr == nil {
+			for _, rec := range recs {
+				if err := onRecord(w, rec); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		stale = conn
+	}
+}
+
+// Close tears the mesh down: the listener stops accepting, every connection
+// in both directions (and every hello still being read) is closed, and the
+// first close error is returned. Safe to call more than once.
 func (m *PeerMesh) Close() error {
 	m.mu.Lock()
 	if m.closed {
@@ -545,21 +502,21 @@ func (m *PeerMesh) Close() error {
 	m.closed = true
 	close(m.wait)
 	m.wait = make(chan struct{})
-	conns := make([]net.Conn, 0, 2*len(m.addrs))
-	for i := range m.out {
-		if m.out[i] != nil {
-			conns = append(conns, m.out[i])
-			m.out[i] = nil
-		}
-		if m.in[i] != nil {
-			conns = append(conns, m.in[i])
-			m.in[i] = nil
-		}
+	conns := append(append([]net.Conn(nil), m.out...), m.in...)
+	for c := range m.pending {
+		conns = append(conns, c)
 	}
+	clear(m.out)
+	clear(m.in)
 	m.mu.Unlock()
 	err := m.ln.Close()
 	for _, c := range conns {
-		c.Close()
+		if c == nil {
+			continue
+		}
+		if cerr := c.Close(); err == nil {
+			err = cerr
+		}
 	}
 	<-m.acceptDone
 	return err

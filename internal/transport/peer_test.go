@@ -278,3 +278,25 @@ func TestPeerMeshDeadPeerFailsRound(t *testing.T) {
 		t.Fatalf("round against a dead peer took %v", time.Since(start))
 	}
 }
+
+// TestPeerMeshStalledDialerDoesNotBlockPeers parks a raw connection that
+// never sends its hello on worker 0's listener ahead of worker 1's dial: the
+// round must still complete, since a silent dialer may only hold up its own
+// admission, not every other peer's (re)join.
+func TestPeerMeshStalledDialerDoesNotBlockPeers(t *testing.T) {
+	meshes := buildPeerMeshes(t, 2, 2)
+	staller, err := net.Dial("tcp", meshes[0].Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer staller.Close()
+	frames := [][][]byte{{nil, []byte("0>1")}, {[]byte("1>0"), nil}}
+	start := time.Now()
+	in := runPeerRound(t, meshes, 1, frames)
+	if string(in[0][0][1]) != "1>0" || string(in[1][1][0]) != "0>1" {
+		t.Fatalf("round delivered %q and %q", in[0][0][1], in[1][1][0])
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("round took %v behind a stalled dialer", d)
+	}
+}

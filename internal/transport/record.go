@@ -17,7 +17,7 @@ import (
 
 // WriteRecord frames one message with sequence number seq onto conn.
 func WriteRecord(conn net.Conn, seq uint32, payload []byte) error {
-	return writeFrame(conn, seq, payload)
+	return writeFrame(conn, seq, nil, payload)
 }
 
 // ReadRecord reads exactly one framed record from br and checks it carries

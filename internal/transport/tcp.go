@@ -1,17 +1,22 @@
-// Package transport provides real byte transports for the simulated
-// cluster's exchanges. The paper ran MPI over 1 Gb/s Ethernet; TCPLoopback
-// reproduces that substrate in-process: every simulated processor owns a TCP
-// listener on 127.0.0.1 and a full mesh of connections carries the framed
-// boundary-DV messages through the kernel's network stack, so serialisation
-// and wire sizes are real rather than estimated.
+// Package transport provides real byte transports for the cluster's
+// exchanges. The paper ran MPI over 1 Gb/s Ethernet; this package reproduces
+// that substrate with one socket mesh, PeerMesh, deployed two ways:
+//
+//   - TCPLoopback runs one PeerMesh endpoint per simulated processor inside a
+//     single process, each with its own listener on 127.0.0.1, so the framed
+//     boundary-DV messages cross the kernel's network stack and serialisation
+//     and wire sizes are real rather than estimated;
+//   - the coordinator/worker cluster runs one endpoint per worker process,
+//     each hosting several processors.
 //
 // The mesh is fault-tolerant rather than fail-stop: every round runs under
 // an I/O deadline, every record on the wire carries the round's sequence
-// number and a CRC, and a failed round is retried with backoff. Leftover
-// bytes from an aborted round are drained by sequence number (never returned
-// as this round's data), and a corrupted stream resynchronises by scanning
-// for the next record boundary. A round that cannot be completed within its
-// attempts surfaces as an error — callers degrade, the process never hangs.
+// number and a CRC, a failed send redials once, and a failed receive waits
+// for the peer's replacement connection. Leftover bytes from an aborted round
+// are drained by sequence number (never returned as this round's data), and a
+// corrupted stream resynchronises by scanning for the next record boundary.
+// A round that cannot be completed surfaces as an error — callers retry or
+// degrade, the process never hangs.
 package transport
 
 import (
@@ -73,18 +78,11 @@ func (c Config) Normalize() Config {
 }
 
 // TCPLoopback is a full mesh of loopback TCP connections between n
-// simulated processors. It implements Transport.
+// simulated processors: n PeerMesh endpoints in one process, endpoint i
+// hosting processor i. It implements Transport.
 type TCPLoopback struct {
-	n   int
-	cfg Config
-	// conns[src][dst] is the directed connection src uses to reach dst.
-	conns [][]net.Conn
-	// inbox[dst][src] holds the connection dst reads frames from src on
-	// (the accept-side ends of conns[src][dst]); readers[dst][src] is the
-	// buffered reader the framing layer scans on (it must survive rounds,
-	// since drained/partial bytes may sit in its buffer).
-	inbox   [][]net.Conn
-	readers [][]*bufio.Reader
+	cfg  Config
+	ends []*PeerMesh
 
 	// seq is the current round-attempt sequence number. It is stamped into
 	// every record so receivers can tell this attempt's frames from the
@@ -96,13 +94,10 @@ type TCPLoopback struct {
 	closeErr  error
 
 	// Wire-level metrics, nil unless SetObs was called (the instruments are
-	// nil-safe). peerFail[i] counts send/receive failures on connections
-	// whose remote end is processor i, so a flaky peer shows up under its
-	// own label.
+	// nil-safe).
 	rounds     *obs.Counter
 	roundFails *obs.Counter
 	retries    *obs.Counter
-	peerFail   []*obs.Counter
 	rec        *obs.Recorder // flight recorder, nil-safe
 }
 
@@ -114,18 +109,16 @@ func (t *TCPLoopback) SetObs(reg *obs.Registry) {
 	t.rounds = reg.Counter("aacc_transport_wire_rounds_total", "All-to-all rounds carried over the TCP loopback mesh.")
 	t.roundFails = reg.Counter("aacc_transport_wire_round_failures_total", "Rounds that failed with a transport error after exhausting their retry budget.")
 	t.retries = reg.Counter("aacc_transport_retries_total", "Round attempts retried after a transient transport error.")
-	t.peerFail = make([]*obs.Counter, t.n)
-	for i := 0; i < t.n; i++ {
-		t.peerFail[i] = reg.Counter("aacc_transport_peer_failures_total",
+	// Endpoint i counts a failure against the remote processor, so a flaky
+	// peer shows up under its own label.
+	peerFail := make([]*obs.Counter, len(t.ends))
+	for i := range peerFail {
+		peerFail[i] = reg.Counter("aacc_transport_peer_failures_total",
 			"Send/receive failures by the remote peer's processor rank.",
 			obs.L("peer", strconv.Itoa(i)))
 	}
-}
-
-// notePeerFailure counts one failed send/receive against the remote peer.
-func (t *TCPLoopback) notePeerFailure(peer int) {
-	if t.peerFail != nil && peer >= 0 && peer < len(t.peerFail) {
-		t.peerFail[peer].Inc()
+	for _, e := range t.ends {
+		e.peerFail = peerFail
 	}
 }
 
@@ -136,133 +129,41 @@ func NewTCPLoopback(n int) (*TCPLoopback, error) {
 }
 
 // NewTCPLoopbackWith establishes the mesh under cfg. It binds n ephemeral
-// listeners on 127.0.0.1; each processor dials every other and identifies
-// itself with a one-time hello frame carrying its rank. All setup I/O runs
-// under cfg.SetupTimeout: a connection that stalls mid-hello (or a stray
-// dialer that never completes one) is dropped, not waited on forever.
+// listeners on 127.0.0.1, starts one endpoint on each, and runs one empty
+// round under cfg.SetupTimeout: every endpoint dials every other and reads
+// its terminator, so a mesh that cannot form fails here rather than in its
+// first round.
 func NewTCPLoopbackWith(n int, cfg Config) (*TCPLoopback, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("transport: need at least 1 processor, got %d", n)
 	}
-	t := &TCPLoopback{n: n, cfg: cfg.Normalize()}
-	t.conns = make([][]net.Conn, n)
-	t.inbox = make([][]net.Conn, n)
-	t.readers = make([][]*bufio.Reader, n)
-	for i := range t.conns {
-		t.conns[i] = make([]net.Conn, n)
-		t.inbox[i] = make([]net.Conn, n)
-		t.readers[i] = make([]*bufio.Reader, n)
-	}
-	listeners := make([]net.Listener, n)
-	for i := 0; i < n; i++ {
+	t := &TCPLoopback{cfg: cfg.Normalize()}
+	lns := make([]net.Listener, n)
+	addrs := make([]string, n)
+	for i := range lns {
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			t.Close()
-			closeAll(listeners)
+			for _, l := range lns[:i] {
+				l.Close()
+			}
 			return nil, fmt.Errorf("transport: listen for processor %d: %w", i, err)
 		}
-		listeners[i] = l
+		lns[i], addrs[i] = l, l.Addr().String()
 	}
-	if err := t.establish(listeners); err != nil {
+	owner := make([]int, n)
+	for p := range owner {
+		owner[p] = p
+	}
+	for i, l := range lns {
+		// Cannot fail: Self and every Owner entry are in range.
+		e, _ := NewPeerMesh(l, PeerConfig{Self: i, Addrs: addrs, Owner: owner, Config: t.cfg})
+		t.ends = append(t.ends, e)
+	}
+	if _, err := t.attempt(0, make([][][]byte, n), time.Now().Add(t.cfg.SetupTimeout)); err != nil {
 		t.Close()
-		return nil, err
+		return nil, fmt.Errorf("transport: mesh setup: %w", err)
 	}
 	return t, nil
-}
-
-func closeAll(listeners []net.Listener) {
-	for _, l := range listeners {
-		if l != nil {
-			l.Close()
-		}
-	}
-}
-
-// establish runs the dial/accept handshake over the given listeners, filling
-// t.conns and t.inbox. It closes the listeners before returning.
-func (t *TCPLoopback) establish(listeners []net.Listener) error {
-	defer closeAll(listeners)
-	deadline := time.Now().Add(t.cfg.SetupTimeout)
-	var wg sync.WaitGroup
-	errs := make(chan error, 2*t.n)
-	// Accept side: processor dst collects n-1 hellos, each prefixed with
-	// the dialer's rank. Connections that fail the hello within the setup
-	// deadline (stalled, truncated, bad rank, duplicate) are closed and the
-	// slot re-accepted, so one broken dialer cannot wedge the handshake.
-	for dst := 0; dst < t.n; dst++ {
-		wg.Add(1)
-		go func(dst int) {
-			defer wg.Done()
-			if err := t.acceptPeers(dst, listeners[dst], deadline); err != nil {
-				errs <- err
-			}
-		}(dst)
-	}
-	// Dial side.
-	for src := 0; src < t.n; src++ {
-		wg.Add(1)
-		go func(src int) {
-			defer wg.Done()
-			for dst := 0; dst < t.n; dst++ {
-				if dst == src {
-					continue
-				}
-				conn, err := net.DialTimeout("tcp", listeners[dst].Addr().String(), time.Until(deadline))
-				if err != nil {
-					errs <- fmt.Errorf("transport: dial %d->%d: %w", src, dst, err)
-					return
-				}
-				if err := DialHello(conn, src, deadline); err != nil {
-					conn.Close()
-					errs <- fmt.Errorf("transport: hello %d->%d: %w", src, dst, err)
-					return
-				}
-				t.conns[src][dst] = conn
-			}
-		}(src)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		return err
-	}
-	return nil
-}
-
-// acceptPeers collects the n-1 hello handshakes destined for dst, tolerating
-// connections that never complete one. Every read runs under the setup
-// deadline.
-func (t *TCPLoopback) acceptPeers(dst int, l net.Listener, deadline time.Time) error {
-	if tl, ok := l.(*net.TCPListener); ok {
-		tl.SetDeadline(deadline)
-	}
-	need := t.n - 1
-	for need > 0 {
-		conn, err := l.Accept()
-		if err != nil {
-			return fmt.Errorf("transport: accept on %d: %w", dst, err)
-		}
-		src, err := AcceptHello(conn, t.n, deadline)
-		if err != nil {
-			// A malformed, mismatched or truncated hello: drop the
-			// connection and keep accepting — unless the setup deadline
-			// itself expired.
-			conn.Close()
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				return fmt.Errorf("transport: hello on %d: %w", dst, err)
-			}
-			continue
-		}
-		if src == dst || t.inbox[dst][src] != nil {
-			conn.Close()
-			continue
-		}
-		t.inbox[dst][src] = conn
-		t.readers[dst][src] = bufio.NewReader(conn)
-		need--
-	}
-	return nil
 }
 
 // Record framing. Every record on a connection is
@@ -292,13 +193,18 @@ func putRecordHeader(hdr []byte, seq, size uint32) {
 	binary.LittleEndian.PutUint32(hdr[8:12], size)
 }
 
-func writeFrame(conn net.Conn, seq uint32, frame []byte) error {
-	var hdr [recordHdrLen]byte
-	putRecordHeader(hdr[:], seq, uint32(len(frame)))
+// writeFrame writes one record whose payload is tag ++ frame. The tag (at
+// most peerTagLen bytes, nil for none) goes out in the header's write, so
+// the frame itself is never copied.
+func writeFrame(conn net.Conn, seq uint32, tag, frame []byte) error {
+	var buf [recordHdrLen + peerTagLen]byte
+	hdr := buf[:recordHdrLen+copy(buf[recordHdrLen:], tag)]
+	putRecordHeader(hdr, seq, uint32(len(tag)+len(frame)))
 	crc := crc32.Update(0, crc32.IEEETable, hdr[:12])
+	crc = crc32.Update(crc, crc32.IEEETable, hdr[recordHdrLen:])
 	crc = crc32.Update(crc, crc32.IEEETable, frame)
 	binary.LittleEndian.PutUint32(hdr[12:16], crc)
-	if _, err := conn.Write(hdr[:]); err != nil {
+	if _, err := conn.Write(hdr); err != nil {
 		return err
 	}
 	_, err := conn.Write(frame)
@@ -394,34 +300,12 @@ func readRecords(br *bufio.Reader, want uint32, maxFrame int, onFrame func(paylo
 	}
 }
 
-// readRound reads one round's records from br: at most one frame followed by
-// the round terminator, all stamped with sequence number want. It returns
-// the frame (nil if the round carried nothing).
-func (t *TCPLoopback) readRound(br *bufio.Reader, want uint32) ([]byte, error) {
-	var frame []byte
-	seen := false
-	err := readRecords(br, want, t.cfg.MaxFrame, func(payload []byte) error {
-		if seen {
-			return errors.New("two frames in one round")
-		}
-		seen = true
-		frame = payload
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return frame, nil
-}
-
 // seqAfter reports whether a is a later sequence number than b, tolerating
 // wraparound.
 func seqAfter(a, b uint32) bool { return int32(a-b) > 0 }
 
-// RoundTrip implements Transport: writes every frame on its directed
-// connection and reads every frame back on the receiving side. Senders run
-// concurrently (kernel socket buffers decouple them); each receiver drains
-// its incoming connections in source order, so the result is deterministic.
+// RoundTrip implements Transport: every endpoint runs the round at once, and
+// endpoint dst's row of its result is row dst of the returned matrix.
 //
 // Every attempt runs under cfg.RoundTimeout and is stamped with a fresh
 // sequence number; on failure the round is retried (up to cfg.MaxAttempts
@@ -429,8 +313,8 @@ func seqAfter(a, b uint32) bool { return int32(a-b) > 0 }
 // attempt left behind. Only after the retry budget is exhausted does the
 // error surface to the caller.
 func (t *TCPLoopback) RoundTrip(frames [][][]byte) ([][][]byte, error) {
-	if len(frames) != t.n {
-		return nil, fmt.Errorf("transport: round trip needs %d rows, got %d", t.n, len(frames))
+	if len(frames) != len(t.ends) {
+		return nil, fmt.Errorf("transport: round trip needs %d rows, got %d", len(t.ends), len(frames))
 	}
 	t.rounds.Inc()
 	var lastErr error
@@ -444,7 +328,7 @@ func (t *TCPLoopback) RoundTrip(frames [][][]byte) ([][][]byte, error) {
 			backoff *= 2
 		}
 		t.seq++
-		in, err := t.attempt(t.seq, frames)
+		in, err := t.attempt(t.seq, frames, time.Now().Add(t.cfg.RoundTimeout))
 		if err == nil {
 			return in, nil
 		}
@@ -458,101 +342,47 @@ func (t *TCPLoopback) RoundTrip(frames [][][]byte) ([][][]byte, error) {
 	return nil, lastErr
 }
 
-// attempt runs one deadline-bounded attempt of the all-to-all round. On any
-// error the other senders still terminate their streams and the other
-// receivers still drain theirs, so no goroutine is left blocking on a peer
-// that bailed out — the wg.Wait always returns within the round deadline.
-func (t *TCPLoopback) attempt(seq uint32, frames [][][]byte) ([][][]byte, error) {
-	deadline := time.Now().Add(t.cfg.RoundTimeout)
-	in := make([][][]byte, t.n)
-	for dst := range in {
-		in[dst] = make([][]byte, t.n)
-	}
+// attempt runs one attempt of the round on every endpoint concurrently, all
+// under deadline. The diagonal stays nil: a processor's message to itself
+// never takes the wire.
+func (t *TCPLoopback) attempt(seq uint32, frames [][][]byte, deadline time.Time) ([][][]byte, error) {
+	in := make([][][]byte, len(t.ends))
+	errs := make([]error, len(t.ends))
 	var wg sync.WaitGroup
-	errs := make(chan error, 2*t.n*t.n)
-	// Senders: each source writes its outgoing frame (if any), then a
-	// per-round terminator on every connection so receivers know the round
-	// is over even when nothing was sent. A failed send no longer aborts
-	// the remaining connections: their terminators still go out, so the
-	// corresponding receivers finish the round instead of blocking forever.
-	for src := 0; src < t.n; src++ {
+	for i, e := range t.ends {
 		wg.Add(1)
-		go func(src int) {
+		go func(i int, e *PeerMesh) {
 			defer wg.Done()
-			for dst := 0; dst < t.n; dst++ {
-				if dst == src {
-					continue
-				}
-				conn := t.conns[src][dst]
-				conn.SetWriteDeadline(deadline)
-				var frame []byte
-				if frames[src] != nil && dst < len(frames[src]) {
-					frame = frames[src][dst]
-				}
-				err := error(nil)
-				if frame != nil {
-					err = writeFrame(conn, seq, frame)
-				}
-				if err == nil {
-					err = writeTerminator(conn, seq)
-				}
-				if err != nil {
-					t.notePeerFailure(dst)
-					errs <- fmt.Errorf("transport: send %d->%d (round %d): %w", src, dst, seq, err)
-				}
+			rows, err := e.roundTrip(seq, frames, deadline)
+			if err != nil {
+				errs[i] = err
+				return
 			}
-		}(src)
-	}
-	// Receivers: drain each incoming connection until this round's
-	// terminator. A failed read moves on to the next source — its leftover
-	// bytes are drained by sequence number on the next attempt.
-	for dst := 0; dst < t.n; dst++ {
-		wg.Add(1)
-		go func(dst int) {
-			defer wg.Done()
-			for src := 0; src < t.n; src++ {
-				if src == dst {
-					continue
-				}
-				t.inbox[dst][src].SetReadDeadline(deadline)
-				frame, err := t.readRound(t.readers[dst][src], seq)
-				if err != nil {
-					t.notePeerFailure(src)
-					errs <- fmt.Errorf("transport: recv %d->%d (round %d): %w", src, dst, seq, err)
-					continue
-				}
-				in[dst][src] = frame
-			}
-		}(dst)
+			in[i] = rows[i]
+			in[i][i] = nil
+		}(i, e)
 	}
 	wg.Wait()
-	close(errs)
-	for err := range errs {
-		return nil, err
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return in, nil
 }
 
-// Close tears the mesh down. Errors from both connection directions are
-// surfaced (first one wins), not just the dial side's.
+// Close tears every endpoint down and returns the first error any of them
+// reports; later calls return the same result.
 func (t *TCPLoopback) Close() error {
 	t.closeOnce.Do(func() {
-		closeRows := func(rows [][]net.Conn) {
-			for _, row := range rows {
-				for _, c := range row {
-					if c != nil {
-						if err := c.Close(); err != nil && t.closeErr == nil {
-							t.closeErr = err
-						}
-					}
-				}
+		for _, e := range t.ends {
+			if err := e.Close(); err != nil && t.closeErr == nil {
+				t.closeErr = err
 			}
 		}
-		closeRows(t.conns)
-		closeRows(t.inbox)
 	})
 	return t.closeErr
 }
 
 // N returns the mesh size.
-func (t *TCPLoopback) N() int { return t.n }
+func (t *TCPLoopback) N() int { return len(t.ends) }

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -159,5 +160,38 @@ func TestCloseIdempotent(t *testing.T) {
 	}
 	if err := mesh.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkRoundTrip times one full P=8 round through NewTCPLoopback: every
+// processor sends one frame of the given size to every other.
+func BenchmarkRoundTrip(b *testing.B) {
+	const p = 8
+	for _, size := range []int{4 << 10, 64 << 10, 512 << 10} {
+		b.Run(fmt.Sprintf("%dKiB", size>>10), func(b *testing.B) {
+			mesh, err := NewTCPLoopback(p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer mesh.Close()
+			frame := make([]byte, size)
+			frames := make([][][]byte, p)
+			for src := range frames {
+				frames[src] = make([][]byte, p)
+				for dst := range frames[src] {
+					if dst != src {
+						frames[src][dst] = frame
+					}
+				}
+			}
+			b.SetBytes(int64(p * (p - 1) * size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := mesh.RoundTrip(frames); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
