@@ -8,7 +8,7 @@
 //	aacc -n 4000 -p 16 -top 10
 //	aacc -graph web.edges -p 8 -harmonic
 //	aacc -gen community -n 2000 -anytime
-//	aacc -changes stream.log -eager-deletions
+//	aacc -changes stream.log -serve
 //	aacc -runtime tcp     # exchanges over a real TCP loopback mesh
 //
 // The same binary also deploys as one coordinator plus N worker processes

@@ -82,10 +82,8 @@ type Options struct {
 	PublishEvery int
 
 	// StepBudget stops stepping after this many RC steps (0 = unlimited).
-	// Steps run inside barrier-mode deletions (core.MutEdgeDelete converges
-	// the analysis internally) count against the budget. An exhausted
-	// session still applies mutations and serves snapshots; it only stops
-	// spending compute.
+	// An exhausted session still applies mutations and serves snapshots; it
+	// only stops spending compute.
 	StepBudget int
 
 	// Deadline stops stepping this long after New (0 = none). Like the

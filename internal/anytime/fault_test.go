@@ -104,31 +104,6 @@ func TestSessionDegradesAndRecovers(t *testing.T) {
 	pollGauge(t, reg, "aacc_session_degraded", 0)
 }
 
-// TestSessionMutationBudgetTripPublishesOnce is the double-publish
-// regression: a barrier deletion whose internal convergence spends the step
-// budget must produce exactly one new epoch, carrying both the mutation and
-// the Exhausted transition.
-func TestSessionMutationBudgetTripPublishesOnce(t *testing.T) {
-	g := testGraph(80)
-	dels := workload.RandomEdgeDeletions(g, 1, 5)
-	s := mustSession(t, g, Options{StartPaused: true, StepBudget: 1})
-	before := s.Snapshot()
-
-	if err := apply(s, core.EdgeDelete(dels...)); err != nil {
-		t.Fatal(err)
-	}
-	sn := s.Snapshot()
-	if sn.Epoch != before.Epoch+1 {
-		t.Fatalf("budget-tripping mutation published %d epochs, want 1", sn.Epoch-before.Epoch)
-	}
-	if !sn.Exhausted {
-		t.Fatal("internal barrier steps did not trip the step budget")
-	}
-	if sn.NumEdges != before.NumEdges-1 {
-		t.Fatalf("deletion not visible: %d edges, want %d", sn.NumEdges, before.NumEdges-1)
-	}
-}
-
 // TestSessionWireFaultyStress is the acceptance run: a real TCP loopback
 // mesh wrapped in a deterministic fault injector, mutations streaming in,
 // and the session must neither panic nor hang — degraded epochs come and go,

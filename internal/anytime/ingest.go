@@ -199,9 +199,6 @@ func (s *Session) ingest(first *ingestOp) {
 	if len(muts) > 0 {
 		errs = s.applyIngest(muts, orig)
 		s.appliedOps += len(muts)
-		// One publication covers the whole batch and any budget trip it
-		// caused: checkBudget only marks the transition.
-		s.checkBudget()
 		s.publish()
 	}
 	i := 0

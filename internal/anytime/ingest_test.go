@@ -62,11 +62,11 @@ func oracleApply(t *testing.T, e *core.Engine, m core.Mutation) {
 }
 
 // randomMutation draws one valid mutation over vertices [0,n): edge
-// additions (sometimes several edges, sometimes none), eager and barrier
-// deletions, and weight sets biased toward pairs from known (edges the
-// stream has seen — some since deleted, exercising the per-op failure
-// path). known must be maintained by the caller; probing the live session
-// graph from the producer goroutine would race with the orchestrator.
+// additions (sometimes several edges, sometimes none), deletions, and weight
+// sets biased toward pairs from known (edges the stream has seen — some since
+// deleted, exercising the per-op failure path). known must be maintained by
+// the caller; probing the live session graph from the producer goroutine
+// would race with the orchestrator.
 func randomMutation(rng *rand.Rand, n int, known [][2]graph.ID) core.Mutation {
 	pair := func() (graph.ID, graph.ID) {
 		u := graph.ID(rng.Intn(n))
@@ -84,10 +84,7 @@ func randomMutation(rng *rand.Rand, n int, known [][2]graph.ID) core.Mutation {
 			edges[i] = graph.EdgeTriple{U: u, V: v, W: int32(1 + rng.Intn(9))}
 		}
 		return core.EdgeAdd(edges...)
-	case 4, 5:
-		u, v := pair()
-		return core.EdgeDeleteEager([2]graph.ID{u, v})
-	case 6:
+	case 4, 5, 6:
 		u, v := pair()
 		return core.EdgeDelete([2]graph.ID{u, v})
 	default:

@@ -80,7 +80,7 @@ func newSessionObs(reg *obs.Registry, opts Options) *sessionObs {
 		topkResolved: reg.Gauge("aacc_session_topk_resolved_k", "Length of the confirmed prefix in the most recent top-k answer."),
 
 		mutations:  reg.Counter("aacc_session_mutations_total", "Mutations applied through the serialized queue."),
-		applyLat:   reg.Histogram("aacc_session_mutation_apply_seconds", "Mutation apply latency on the orchestration goroutine (barrier deletions include their internal RC steps).", nil),
+		applyLat:   reg.Histogram("aacc_session_mutation_apply_seconds", "Mutation apply latency on the orchestration goroutine.", nil),
 		queueDepth: reg.Gauge("aacc_session_queue_depth", "Commands enqueued or executing on the serialized queue."),
 
 		ingestDepth: reg.Gauge("aacc_session_ingest_queue_depth", "Mutations waiting in the bounded ingest queue."),

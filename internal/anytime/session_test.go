@@ -164,7 +164,7 @@ func TestSessionDeadline(t *testing.T) {
 	}
 }
 
-// TestSessionMutationsConvergeToExact: additions and barrier deletions
+// TestSessionMutationsConvergeToExact: additions and deletions
 // applied through the queue land the analysis on the mutated graph's exact
 // distances, and each mutation is visible in the snapshot as soon as the
 // Apply call returns.

@@ -120,7 +120,7 @@ func sessionStress(t *testing.T, opts core.Options) {
 		mirror.AddEdge(adds[0].U, adds[0].V, 1) // AddEdge overwrites the weight
 
 		dels := workload.RandomEdgeDeletions(mirror, 5, 22)
-		if err := apply(s, core.EdgeDeleteEager(dels...)); err != nil {
+		if err := apply(s, core.EdgeDelete(dels...)); err != nil {
 			return err
 		}
 		for _, d := range dels {

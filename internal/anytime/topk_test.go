@@ -174,7 +174,7 @@ func TestTopKInvalidateOnMutation(t *testing.T) {
 	}
 	// Second mutation: the maintained index predates it, so its publish
 	// must record the invalidation and rebuild.
-	if err := apply(s, core.EdgeDeleteEager([2]graph.ID{0, 115})); err != nil {
+	if err := apply(s, core.EdgeDelete([2]graph.ID{0, 115})); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Wait(context.Background()); err != nil {

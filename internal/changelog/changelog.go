@@ -199,8 +199,6 @@ type Replayer struct {
 	ps    core.ProcessorAssigner
 	names map[string]graph.ID // resolved new-vertex names
 	next  int                 // next batch index
-	// Eager selects barrier-free deletions (core.MutEdgeDeleteEager).
-	Eager bool
 }
 
 // NewReplayer builds a replayer using ps to place new vertices (nil =
@@ -358,11 +356,7 @@ func (r *Replayer) apply(e Target, b Batch) error {
 		eb.Ops = append(eb.Ops, core.WeightSet(wc.U, wc.V, wc.W))
 	}
 	if len(edgeDels) > 0 {
-		if r.Eager {
-			eb.Ops = append(eb.Ops, core.EdgeDeleteEager(edgeDels...))
-		} else {
-			eb.Ops = append(eb.Ops, core.EdgeDelete(edgeDels...))
-		}
+		eb.Ops = append(eb.Ops, core.EdgeDelete(edgeDels...))
 	}
 	if len(eb.Ops) > 0 {
 		if err := e.ApplyBatch(eb); err != nil {

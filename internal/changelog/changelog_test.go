@@ -119,8 +119,11 @@ func TestReplayMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestReplayEagerDeletions replays deletions due mid-analysis: they fold in
+// where the analysis stands, without running an RC step, and the analysis
+// still converges to the oracle.
 func TestReplayEagerDeletions(t *testing.T) {
-	log, err := Parse(strings.NewReader("@2\ndeledge 0 1\ndeledge 4 5\n"))
+	log, err := Parse(strings.NewReader("@1\ndeledge 0 1\ndeledge 4 5\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,12 +133,25 @@ func TestReplayEagerDeletions(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := NewReplayer(log, &core.CutEdgePS{Seed: 6})
-	rep.Eager = true
-	before := e.StepCount()
-	if err := rep.ReplayAll(e); err != nil {
+	if _, err := e.Step(); err != nil {
 		t.Fatal(err)
 	}
-	_ = before
+	if e.Converged() {
+		t.Fatal("converged after one step; the deletions would not land mid-analysis")
+	}
+	edges, steps := e.Graph().NumEdges(), e.StepCount()
+	if err := rep.ApplyDue(e, e.StepCount()); err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Done() || e.Graph().NumEdges() != edges-2 {
+		t.Fatalf("deletions not applied: done=%t, %d edges, want %d", rep.Done(), e.Graph().NumEdges(), edges-2)
+	}
+	if e.StepCount() != steps {
+		t.Fatalf("replaying deletions ran %d RC steps", e.StepCount()-steps)
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
 	want := sssp.APSP(e.Graph(), 0)
 	got := e.Distances()
 	for v, row := range want {

@@ -203,7 +203,6 @@ func Analysis(args []string, stdout io.Writer) (err error) {
 		anyFlag    = fs.Bool("anytime", false, "print per-step anytime progress")
 		partName   = fs.String("partitioner", "multilevel", "DD partitioner: multilevel, bfsgrow, roundrobin, hash")
 		changes    = fs.String("changes", "", "replay a change log (see internal/changelog) during the analysis")
-		eagerDel   = fs.Bool("eager-deletions", false, "barrier-free (eager) deletion mode for the change log")
 		rtName     = fs.String("runtime", "sim", "execution runtime: sim (in-process) or tcp (boundary DVs over a real TCP loopback mesh)")
 		faultRate  = fs.Float64("fault-rate", 0, "tcp runtime: inject deterministic wire faults (drops, delays, truncated/corrupt frames) on this fraction of exchange rounds, in [0,1)")
 		faultSeed  = fs.Int64("fault-seed", 1, "seed for the deterministic fault-injection schedule")
@@ -363,7 +362,6 @@ func Analysis(args []string, stdout io.Writer) (err error) {
 			return err
 		}
 		replayer = changelog.NewReplayer(cl, &core.CutEdgePS{Seed: *seed})
-		replayer.Eager = *eagerDel
 		logger.Info("replaying change log", "batches", len(cl.Batches), "path", *changes)
 	}
 

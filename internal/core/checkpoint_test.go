@@ -166,7 +166,7 @@ func TestEagerDeletionConverged(t *testing.T) {
 	mustRun(t, e)
 	edges := g.Edges()
 	del := [][2]graph.ID{{edges[2].U, edges[2].V}, {edges[9].U, edges[9].V}}
-	if err := e.applyEdgeDeletionsEager(del); err != nil {
+	if err := e.applyEdgeDeletions(del); err != nil {
 		t.Fatal(err)
 	}
 	mustRun(t, e)
@@ -176,22 +176,22 @@ func TestEagerDeletionConverged(t *testing.T) {
 func TestEagerDeletionMidAnalysisNoBarrier(t *testing.T) {
 	g := gen.BarabasiAlbert(150, 2, 76, gen.Config{MaxWeight: 3})
 	e := mustEngine(t, g, 8)
-	e.Step() // partial state; eager mode must NOT converge first
+	e.Step() // partial state; the deletion must NOT converge first
 	steps := e.StepCount()
 	edges := e.Graph().Edges()
-	if err := e.applyEdgeDeletionsEager([][2]graph.ID{{edges[4].U, edges[4].V}}); err != nil {
+	if err := e.ApplyBatch(&Batch{Ops: []Mutation{EdgeDelete([2]graph.ID{edges[4].U, edges[4].V})}}); err != nil {
 		t.Fatal(err)
 	}
 	if e.StepCount() != steps {
-		t.Fatalf("eager deletion ran %d hidden RC steps", e.StepCount()-steps)
+		t.Fatalf("deletion ran %d hidden RC steps", e.StepCount()-steps)
 	}
 	mustRun(t, e)
 	checkExact(t, e)
 }
 
-// TestPropertyEagerDeletionInterleaved: eager deletions interleaved with
-// additions at arbitrary analysis points, without any convergence barrier,
-// still converge to the oracle.
+// TestPropertyEagerDeletionInterleaved: deletions interleaved with
+// additions at arbitrary analysis points, converged or not, still converge
+// to the oracle, and no ApplyBatch ever runs an RC step.
 func TestPropertyEagerDeletionInterleaved(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -199,6 +199,17 @@ func TestPropertyEagerDeletionInterleaved(t *testing.T) {
 		e, err := New(g, Options{P: 2 + rng.Intn(10), Seed: rng.Int63()})
 		if err != nil {
 			return false
+		}
+		apply := func(m Mutation) bool {
+			steps := e.StepCount()
+			if err := e.ApplyBatch(&Batch{Ops: []Mutation{m}}); err != nil {
+				return false
+			}
+			if e.StepCount() != steps {
+				t.Logf("seed %d: %s ran %d RC steps", seed, m.Kind, e.StepCount()-steps)
+				return false
+			}
+			return true
 		}
 		for i := 0; i < 5; i++ {
 			for s := rng.Intn(3); s > 0 && !e.Converged(); s-- {
@@ -214,16 +225,14 @@ func TestPropertyEagerDeletionInterleaved(t *testing.T) {
 					ed := edges[rng.Intn(len(edges))]
 					del = append(del, [2]graph.ID{ed.U, ed.V})
 				}
-				if err := e.applyEdgeDeletionsEager(del); err != nil {
+				if !apply(EdgeDelete(del...)) {
 					return false
 				}
 			} else {
 				u := graph.ID(rng.Intn(e.Graph().NumIDs()))
 				v := graph.ID(rng.Intn(e.Graph().NumIDs()))
-				if u != v {
-					if err := e.applyEdgeAdditions([]graph.EdgeTriple{{U: u, V: v, W: int32(1 + rng.Intn(4))}}); err != nil {
-						return false
-					}
+				if u != v && !apply(EdgeAdd(graph.EdgeTriple{U: u, V: v, W: int32(1 + rng.Intn(4))})) {
+					return false
 				}
 			}
 		}

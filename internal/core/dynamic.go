@@ -130,19 +130,21 @@ func (e *Engine) broadcastRows(ids []graph.ID) (map[graph.ID][]int32, error) {
 // applyEdgeDeletions removes the given edges as one joint batch and
 // invalidates every distance entry that may be supported by a path through
 // any of them, re-deriving invalidated rows from fresh local Dijkstra runs
-// merged over the surviving partial results. The engine is left
-// un-converged; run Step/Run to re-reach the fixpoint.
+// merged over the surviving partial results. It never runs an RC step: the
+// deletion is folded into the analysis wherever it stands, and the engine is
+// left un-converged for Step/Run to re-reach the fixpoint.
 //
-// The invalidation test — "entry (x,t) may be supported through deleted
-// edge {u,v} iff d(x,t) >= d(x,u)+w+d(v,t) or the symmetric bound" — is
-// sound only on *exact* distances: on partial upper bounds it can miss
-// entries whose supporting path walks through the edge but whose value was
-// derived without consulting the endpoint rows (e.g. inside one local
-// Dijkstra). The engine therefore first runs RC steps to the fixpoint if it
-// is not converged (the cost is charged to the same totals). Additions need
-// no such barrier. This mirrors the titled paper's streaming setting, where
-// deletions update the maintained (converged) closeness state; the win over
-// baseline restart is that every surviving entry is reused.
+// The invalidation is picked from the engine's own state (atFixpoint):
+//   - At the fixpoint, the exact through-edge test: "entry (x,t) may be
+//     supported through deleted edge {u,v} iff d(x,t) >= d(x,u)+w+d(v,t) or
+//     the symmetric bound". Every surviving entry is reused — the titled
+//     paper's streaming setting, where deletions update maintained closeness
+//     state. The test is sound only on exact distances: on partial upper
+//     bounds it can miss entries whose supporting path walks through the
+//     edge but whose value was derived without consulting the endpoint rows
+//     (e.g. inside one local Dijkstra).
+//   - Otherwise, the row wipe (wipeSuspectRows), sound on any partial state.
+//
 // The whole batch is validated before anything mutates — a dead or
 // out-of-range endpoint or a self-loop rejects the batch intact. Pairs that
 // name no live edge between live vertices are skipped (deletes are
@@ -152,32 +154,44 @@ func (e *Engine) applyEdgeDeletions(pairs [][2]graph.ID) error {
 	if err != nil || len(batch) == 0 {
 		return err
 	}
-	if !e.conv {
-		if _, err := e.Run(); err != nil {
-			return fmt.Errorf("core: converging before deletion batch: %w", err)
-		}
-	}
 	batch = sortedEdgeList(batch)
-	endRows, err := e.broadcastRows(edgeEndpoints(batch))
-	if err != nil {
-		return err
+	invalidate := func(pr *proc) (hit, holes []graph.ID) { return pr.wipeSuspectRows(e, batch) }
+	if e.atFixpoint() {
+		endRows, err := e.broadcastRows(edgeEndpoints(batch))
+		if err != nil {
+			return err
+		}
+		invalidate = func(pr *proc) (hit, holes []graph.ID) {
+			return pr.invalidateThroughEdges(e, batch, endRows)
+		}
 	}
 	for _, ed := range batch {
 		e.g.RemoveEdge(ed.U, ed.V)
 		e.invalidateMask(ed.U)
 		e.invalidateMask(ed.V)
 	}
-	e.invalidateAndReseed(func(pr *proc) (hit, holes []graph.ID) {
-		return pr.invalidateThroughEdges(e, batch, endRows)
-	})
+	e.invalidateAndReseed(invalidate)
 	e.conv = false
 	return nil
 }
 
-// invalidateThroughEdges is the barrier-mode invalidation: it sweeps every
-// stored row (local rows and external snapshots) with the deletion
-// invalidation test for the whole batch and returns the local rows and the
-// snapshots that lost entries.
+// atFixpoint reports whether the distances are exact, which is what the
+// exact deletion test needs. In one process that is the convergence flag. A
+// worker's own flag covers only its resident slice and differs between
+// workers, which would split the cluster over the two invalidations (only
+// one of them runs a row all-gather); a partial engine therefore also needs
+// the coordinator's verdict that the whole cluster was converged when the
+// current command was issued (runtime.Partial.Converged). An earlier op of
+// the same command that changed anything cleared the flag on every worker
+// alike.
+func (e *Engine) atFixpoint() bool {
+	return e.conv && (e.partial == nil || e.partial.Converged())
+}
+
+// invalidateThroughEdges is the exact invalidation on converged state: it
+// sweeps every stored row (local rows and external snapshots) with the
+// deletion invalidation test for the whole batch and returns the local rows
+// and the snapshots that lost entries.
 //
 // Each row is tested against a pristine pre-sweep copy of itself: the test
 // for one deleted edge must not observe the invalidations of another, or
@@ -229,7 +243,7 @@ func (pr *proc) invalidateThroughEdges(e *Engine, batch []graph.EdgeTriple, endR
 	return hit, pr.takeRows()
 }
 
-// invalidateAndReseed is the body the two deletion modes share. On every
+// invalidateAndReseed is the body both invalidations share. On every
 // resident processor, invalidate removes the entries the deleted edges may
 // support — every stored row before any re-derivation, so no relaxation can
 // re-poison entries from a not-yet-swept row — and returns the local rows it
@@ -289,38 +303,13 @@ func sortedExtIDs(ext map[graph.ID][]int32) []graph.ID {
 	return ids
 }
 
-// applyEdgeDeletionsEager removes the given edges *without* the convergence
-// barrier of applyEdgeDeletions, preserving the "anywhere" property for
-// deletions at the price of coarser invalidation: any row whose columns for
-// both endpoints of a deleted edge are finite is reset wholesale and
-// reseeded from a local Dijkstra. Soundness on arbitrary partial state
-// follows from row path-closure — an entry supported by a path through edge
-// {u,v} always has finite u and v columns in its own row — so resetting
-// every such row removes every possibly-supported entry without any
-// distance arithmetic. On converged state almost every row qualifies, which
-// degenerates toward a restart; prefer MutEdgeDelete there.
-// Like applyEdgeDeletions, the whole batch is validated before anything
-// mutates; pairs naming no live edge are skipped.
-func (e *Engine) applyEdgeDeletionsEager(pairs [][2]graph.ID) error {
-	batch, err := e.deletionBatch(pairs)
-	if err != nil || len(batch) == 0 {
-		return err
-	}
-	for _, ed := range batch {
-		e.g.RemoveEdge(ed.U, ed.V)
-		e.invalidateMask(ed.U)
-		e.invalidateMask(ed.V)
-	}
-	e.invalidateAndReseed(func(pr *proc) (hit, holes []graph.ID) {
-		return pr.wipeSuspectRows(e, batch)
-	})
-	e.conv = false
-	return nil
-}
-
-// wipeSuspectRows is the eager-mode invalidation: every local row with
+// wipeSuspectRows is the invalidation on partial state: every local row with
 // finite columns for both endpoints of a deleted edge is reset wholesale, and
 // every such snapshot is dropped (its owner re-sends after its own reset).
+// It needs no distance arithmetic and is sound on any state by row
+// path-closure: an entry supported by a path through edge {u,v} always has
+// finite u and v columns in its own row. On converged state almost every row
+// qualifies, which degenerates toward a restart — hence the exact test there.
 func (pr *proc) wipeSuspectRows(e *Engine, batch []graph.EdgeTriple) (hit, holes []graph.ID) {
 	suspect := func(row []int32) bool {
 		for _, ed := range batch {
@@ -411,8 +400,8 @@ func (e *Engine) validateDeletionBatch(pairs [][2]graph.ID) error {
 // nothing mutates. The changes then apply one at a time in input order
 // (weight changes never remove edges, so the upfront validation stays sound
 // throughout the batch): a decrease is an incremental relaxation; an increase
-// is a deletion followed by an insertion at the new weight (the shared
-// DecomposeWeightSet sequence), per the paper's edge-weight-change strategy.
+// is a deletion followed by an insertion at the new weight, per the paper's
+// edge-weight-change strategy.
 func (e *Engine) setEdgeWeights(updates []graph.EdgeTriple) error {
 	for _, up := range updates {
 		if up.W < 1 {
@@ -431,11 +420,11 @@ func (e *Engine) setEdgeWeights(updates []graph.EdgeTriple) error {
 				return err
 			}
 		default:
-			steps := DecomposeWeightSet(up.U, up.V, up.W, false)
-			for i := range steps {
-				if err := e.applyMutation(&steps[i]); err != nil {
-					return err
-				}
+			if err := e.applyEdgeDeletions([][2]graph.ID{{up.U, up.V}}); err != nil {
+				return err
+			}
+			if err := e.applyEdgeAdditions([]graph.EdgeTriple{up}); err != nil {
+				return err
 			}
 		}
 	}

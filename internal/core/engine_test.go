@@ -209,10 +209,13 @@ func TestEdgeDeletionMidAnalysis(t *testing.T) {
 	g := gen.BarabasiAlbert(120, 3, 32, gen.Config{MaxWeight: 3})
 	e := mustEngine(t, g, 8)
 	e.Step() // partial state only
+	steps := e.StepCount()
 	edges := e.Graph().Edges()
-	del := [][2]graph.ID{{edges[3].U, edges[3].V}}
-	if err := e.applyEdgeDeletions(del); err != nil {
+	if err := e.ApplyBatch(&Batch{Ops: []Mutation{EdgeDelete([2]graph.ID{edges[3].U, edges[3].V})}}); err != nil {
 		t.Fatal(err)
+	}
+	if e.StepCount() != steps {
+		t.Fatalf("deletion ran %d hidden RC steps", e.StepCount()-steps)
 	}
 	mustRun(t, e)
 	checkExact(t, e)

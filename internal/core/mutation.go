@@ -24,12 +24,9 @@ const (
 	// MutEdgeAdd inserts edges (or decreases existing weights) via the
 	// paper's Fig. 3 incremental relaxation.
 	MutEdgeAdd
-	// MutEdgeDelete removes edges in barrier mode: the analysis converges
-	// first, then invalidates exactly the supported entries.
+	// MutEdgeDelete removes edges and invalidates the entries they may
+	// support, mid-analysis: no RC step runs inside the mutation.
 	MutEdgeDelete
-	// MutEdgeDeleteEager removes edges without the convergence barrier at
-	// the price of coarser (wholesale row) invalidation.
-	MutEdgeDeleteEager
 	// MutSetWeight sets existing edges to new absolute weights (decrease =
 	// relaxation, increase = delete + reinsert).
 	MutSetWeight
@@ -41,6 +38,12 @@ const (
 	MutRepartition
 )
 
+// MutEdgeDeleteEager is the kind of the former barrier-free deletion mode.
+//
+// Deprecated: there is one deletion kind; the engine picks its invalidation
+// from its own convergence. Use MutEdgeDelete.
+const MutEdgeDeleteEager = MutEdgeDelete
+
 // String names the kind the way the engine.apply span details do.
 func (k MutationKind) String() string {
 	switch k {
@@ -50,8 +53,6 @@ func (k MutationKind) String() string {
 		return "edge-add"
 	case MutEdgeDelete:
 		return "edge-delete"
-	case MutEdgeDeleteEager:
-		return "edge-delete-eager"
 	case MutSetWeight:
 		return "set-weight"
 	case MutVertexAdd:
@@ -74,7 +75,7 @@ type Mutation struct {
 	// Edges carries MutEdgeAdd (edges to insert) and MutSetWeight (target
 	// edges with their new absolute weights).
 	Edges []graph.EdgeTriple
-	// Pairs carries MutEdgeDelete / MutEdgeDeleteEager endpoints.
+	// Pairs carries MutEdgeDelete endpoints.
 	Pairs [][2]graph.ID
 	// Verts carries MutVertexRemove.
 	Verts []graph.ID
@@ -96,14 +97,16 @@ func EdgeAdd(edges ...graph.EdgeTriple) Mutation {
 	return Mutation{Kind: MutEdgeAdd, Edges: edges}
 }
 
-// EdgeDelete builds a barrier-mode MutEdgeDelete (slice not copied).
+// EdgeDelete builds a MutEdgeDelete (slice not copied).
 func EdgeDelete(pairs ...[2]graph.ID) Mutation {
 	return Mutation{Kind: MutEdgeDelete, Pairs: pairs}
 }
 
-// EdgeDeleteEager builds a MutEdgeDeleteEager (slice not copied).
+// EdgeDeleteEager builds a MutEdgeDelete.
+//
+// Deprecated: there is one deletion kind. Use EdgeDelete.
 func EdgeDeleteEager(pairs ...[2]graph.ID) Mutation {
-	return Mutation{Kind: MutEdgeDeleteEager, Pairs: pairs}
+	return EdgeDelete(pairs...)
 }
 
 // WeightSet builds a single-edge MutSetWeight.
@@ -140,7 +143,7 @@ func (m *Mutation) Validate() error {
 				return fmt.Errorf("core: bad %s edge {%d,%d,%d}", m.Kind, ed.U, ed.V, ed.W)
 			}
 		}
-	case MutEdgeDelete, MutEdgeDeleteEager:
+	case MutEdgeDelete:
 		for _, p := range m.Pairs {
 			if p[0] < 0 || p[1] < 0 || p[0] == p[1] {
 				return fmt.Errorf("core: bad %s pair {%d,%d}", m.Kind, p[0], p[1])
@@ -178,7 +181,7 @@ func (m *Mutation) Empty() bool {
 		return true
 	case MutEdgeAdd, MutSetWeight:
 		return len(m.Edges) == 0
-	case MutEdgeDelete, MutEdgeDeleteEager:
+	case MutEdgeDelete:
 		return len(m.Pairs) == 0
 	case MutVertexAdd:
 		return m.Batch == nil || m.Batch.Count == 0
@@ -257,8 +260,9 @@ func (e *BatchError) Unwrap() error { return e.Err }
 // whole batch structurally (a *BatchError from this stage means nothing was
 // applied), then applies the ops strictly in order. Any error is a
 // *BatchError identifying the op; result fields (AssignedIDs, Repart) are
-// written into the batch's own Mutation values. The engine is left
-// un-converged; run Step/Run to propagate the effects.
+// written into the batch's own Mutation values. No op runs an RC step, so
+// StepCount never advances here; the engine is left un-converged, and
+// Step/Run propagate the effects.
 //
 // With a tracer set, every applied op is one engine.apply span; a failing op
 // is a batch-error incident in the flight recorder instead.
@@ -293,7 +297,7 @@ func (m *Mutation) describe() string {
 	switch m.Kind {
 	case MutEdgeAdd, MutSetWeight:
 		return fmt.Sprintf("%s: %d edges", m.Kind, len(m.Edges))
-	case MutEdgeDelete, MutEdgeDeleteEager:
+	case MutEdgeDelete:
 		return fmt.Sprintf("%s: %d edges", m.Kind, len(m.Pairs))
 	case MutVertexAdd:
 		return fmt.Sprintf("%s: %d vertices, %d edges via %s", m.Kind, m.Batch.Count, m.Batch.NumEdges(), m.Assign.Name())
@@ -315,8 +319,6 @@ func (e *Engine) applyMutation(m *Mutation) error {
 		return e.applyEdgeAdditions(m.Edges)
 	case MutEdgeDelete:
 		return e.applyEdgeDeletions(m.Pairs)
-	case MutEdgeDeleteEager:
-		return e.applyEdgeDeletionsEager(m.Pairs)
 	case MutSetWeight:
 		return e.setEdgeWeights(m.Edges)
 	case MutVertexAdd:
@@ -331,21 +333,6 @@ func (e *Engine) applyMutation(m *Mutation) error {
 		return err
 	}
 	return fmt.Errorf("core: unknown mutation kind %d", uint8(m.Kind))
-}
-
-// DecomposeWeightSet returns the canonical delete-then-reinsert decomposition
-// of "set edge {u,v} to weight w" — the paper's weight-increase strategy.
-// Both the engine's own MutSetWeight increase path and the distributed
-// coordinator's rejoin-replay transformation apply exactly this sequence, so
-// local and cluster semantics cannot drift. eager selects the barrier-free
-// deletion flavour (detached replay, where no exchange rounds are available
-// for the convergence barrier); the live path uses the barrier deletion.
-func DecomposeWeightSet(u, v graph.ID, w int32, eager bool) [2]Mutation {
-	del := Mutation{Kind: MutEdgeDelete, Pairs: [][2]graph.ID{{u, v}}}
-	if eager {
-		del.Kind = MutEdgeDeleteEager
-	}
-	return [2]Mutation{del, {Kind: MutEdgeAdd, Edges: []graph.EdgeTriple{{U: u, V: v, W: w}}}}
 }
 
 // ApplyUnit is one element of a coalesced schedule: a mutation to apply and

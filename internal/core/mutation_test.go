@@ -78,7 +78,7 @@ func TestCoalesceExactBitIdentical(t *testing.T) {
 		EdgeAdd(graph.EdgeTriple{U: 2, V: 47, W: 1}, graph.EdgeTriple{U: 6, V: 52, W: 3}),
 		EdgeAdd(), // structurally empty: merged away
 		EdgeAdd(graph.EdgeTriple{U: 1, V: 55, W: 1}),
-		EdgeDeleteEager([2]graph.ID{1, 55}),
+		EdgeDelete([2]graph.ID{1, 55}),
 		EdgeAdd(graph.EdgeTriple{U: 8, V: 62, W: 2}),
 		WeightSet(2, 47, 4),
 		EdgeAdd(graph.EdgeTriple{U: 9, V: 63, W: 1}),
@@ -114,47 +114,6 @@ func TestCoalesceExactBitIdentical(t *testing.T) {
 	identicalDistances(t, a, b)
 	mustRun(t, a)
 	checkExact(t, a)
-}
-
-// DecomposeWeightSet is the one shared source of the weight-increase
-// decomposition; applying it must match the MutSetWeight increase path
-// bit-for-bit (barrier flavour) and stay exact under the eager flavour the
-// detached replay uses.
-func TestDecomposeWeightSetMatchesSetEdgeWeight(t *testing.T) {
-	a, b := enginePair(t, 60, 4)
-	defer a.Close()
-	defer b.Close()
-	mustRun(t, a)
-	mustRun(t, b)
-
-	var have graph.EdgeTriple
-	for _, ed := range a.Graph().Edges() {
-		have = ed
-		break
-	}
-	w := have.W + 3
-	if err := setWeight(a, have.U, have.V, w); err != nil {
-		t.Fatal(err)
-	}
-	steps := DecomposeWeightSet(have.U, have.V, w, false)
-	if err := b.ApplyBatch(&Batch{Ops: steps[:]}); err != nil {
-		t.Fatal(err)
-	}
-	identicalDistances(t, a, b)
-
-	// Eager flavour: different intermediate schedule, same converged truth.
-	c := mustEngine(t, a.Graph().Clone(), 4)
-	defer c.Close()
-	mustRun(t, c)
-	steps = DecomposeWeightSet(have.U, have.V, w+2, true)
-	if steps[0].Kind != MutEdgeDeleteEager {
-		t.Fatalf("eager decomposition starts with %s", steps[0].Kind)
-	}
-	if err := c.ApplyBatch(&Batch{Ops: steps[:]}); err != nil {
-		t.Fatal(err)
-	}
-	mustRun(t, c)
-	checkExact(t, c)
 }
 
 // setEdgeWeights must reject the whole batch when any update names a missing
@@ -193,13 +152,17 @@ func TestSetEdgeWeightsRejectsWholeBatch(t *testing.T) {
 }
 
 // Edge deletions now share the whole-batch-validate-before-mutate contract:
-// a dead endpoint or self-loop anywhere in the batch rejects it intact, in
-// both barrier and eager modes.
+// a dead endpoint or self-loop anywhere in the batch rejects it intact, on
+// converged state (exact test) and mid-analysis (row wipe) alike.
 func TestEdgeDeletionsRejectWholeBatchOnBadPair(t *testing.T) {
-	for _, eager := range []bool{false, true} {
+	for _, converged := range []bool{true, false} {
 		g := gen.BarabasiAlbert(60, 2, 5, gen.Config{MaxWeight: 3})
 		e := mustEngine(t, g, 4)
-		mustRun(t, e)
+		if converged {
+			mustRun(t, e)
+		} else {
+			e.Step()
+		}
 
 		var have graph.EdgeTriple
 		for _, ed := range e.Graph().Edges() {
@@ -208,25 +171,19 @@ func TestEdgeDeletionsRejectWholeBatchOnBadPair(t *testing.T) {
 		}
 		edges := e.Graph().NumEdges()
 		dead := graph.ID(e.Graph().NumIDs()) + 5
-		del := func(pairs [][2]graph.ID) error {
-			if eager {
-				return e.applyEdgeDeletionsEager(pairs)
-			}
-			return e.applyEdgeDeletions(pairs)
-		}
-		if err := del([][2]graph.ID{{have.U, have.V}, {3, dead}}); err == nil {
-			t.Fatalf("eager=%t: batch with dead endpoint accepted", eager)
+		if err := e.applyEdgeDeletions([][2]graph.ID{{have.U, have.V}, {3, dead}}); err == nil {
+			t.Fatalf("converged=%t: batch with dead endpoint accepted", converged)
 		}
 		if !e.Graph().HasEdge(have.U, have.V) {
-			t.Fatalf("eager=%t: valid prefix pair deleted despite rejection", eager)
+			t.Fatalf("converged=%t: valid prefix pair deleted despite rejection", converged)
 		}
-		if err := del([][2]graph.ID{{have.U, have.V}, {7, 7}}); err == nil {
-			t.Fatalf("eager=%t: batch with self-loop accepted", eager)
+		if err := e.applyEdgeDeletions([][2]graph.ID{{have.U, have.V}, {7, 7}}); err == nil {
+			t.Fatalf("converged=%t: batch with self-loop accepted", converged)
 		}
 		if !e.Graph().HasEdge(have.U, have.V) {
-			t.Fatalf("eager=%t: valid prefix pair deleted despite rejection", eager)
+			t.Fatalf("converged=%t: valid prefix pair deleted despite rejection", converged)
 		}
-		rejectedBatchLeavesStateIntact(t, e, edges, true)
+		rejectedBatchLeavesStateIntact(t, e, edges, converged)
 		e.Close()
 	}
 }
@@ -302,7 +259,7 @@ func TestBatchValidate(t *testing.T) {
 		{"zero-weight-add", EdgeAdd(graph.EdgeTriple{U: 1, V: 2, W: 0})},
 		{"zero-weight-set", WeightSet(1, 2, 0)},
 		{"self-loop-del", EdgeDelete([2]graph.ID{4, 4})},
-		{"negative-del", EdgeDeleteEager([2]graph.ID{-2, 4})},
+		{"negative-del", EdgeDelete([2]graph.ID{-2, 4})},
 		{"negative-vertex-remove", VertexRemove(-1)},
 		{"vertex-add-nil-batch", Mutation{Kind: MutVertexAdd, Assign: &RoundRobinPS{}}},
 		{"vertex-add-nil-assigner", Mutation{Kind: MutVertexAdd, Batch: &VertexBatch{Count: 1}}},

@@ -90,9 +90,6 @@ func TestEmptyOperationsAreNoOps(t *testing.T) {
 	if err := e.applyEdgeDeletions(nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.applyEdgeDeletionsEager(nil); err != nil {
-		t.Fatal(err)
-	}
 	if ids, err := e.applyVertexAdditions(&VertexBatch{}, &RoundRobinPS{}); err != nil || ids != nil {
 		t.Fatalf("empty batch: ids=%v err=%v", ids, err)
 	}

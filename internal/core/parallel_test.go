@@ -9,13 +9,14 @@ import (
 )
 
 // This file is the determinism oracle of the worker-pool mode: the same
-// dynamic workload — IA, RC steps, edge additions, both deletion modes, a
-// weight change, vertex additions, repartitioning and a processor failure,
-// i.e. every code path that shards across the pool — must produce
-// bit-identical Distances and Scores at every convergence checkpoint for any
-// worker count. Converged distances are the exact shortest paths, so the
-// one-worker (Gauss–Seidel, in-place) and pooled (Jacobi, frozen-source)
-// relax orders meet at the same fixpoint; see DESIGN.md §6.
+// dynamic workload — IA, RC steps, edge additions, both deletion
+// invalidations, a weight change, vertex additions, repartitioning and a
+// processor failure, i.e. every code path that shards across the pool —
+// must produce bit-identical Distances and Scores at every convergence
+// checkpoint for any worker count. Converged distances are the exact
+// shortest paths, so the one-worker (Gauss–Seidel, in-place) and pooled
+// (Jacobi, frozen-source) relax orders meet at the same fixpoint; see
+// DESIGN.md §6.
 
 // parallelWorkload drives one engine through the full dynamic workload,
 // converging after every mutation and recording a distance snapshot at each
@@ -66,7 +67,8 @@ func parallelWorkload(t *testing.T, workers int) []map[graph.ID][]int32 {
 	}
 	snap()
 
-	// Barrier-mode deletions: drop every third added edge.
+	// Deletions on converged state (exact test): drop every third added
+	// edge.
 	var dels [][2]graph.ID
 	for i, ed := range adds {
 		if i%3 == 0 {
@@ -78,9 +80,9 @@ func parallelWorkload(t *testing.T, workers int) []map[graph.ID][]int32 {
 	}
 	snap()
 
-	// Eager-mode deletions on partially-converged state: mutate, step twice
-	// (not to convergence), then delete eagerly. The two relax kernels may
-	// differ mid-run, so only the converged state is compared here.
+	// Deletions on partially-converged state (row wipe): mutate, step twice
+	// (not to convergence), then delete. The two relax kernels may differ
+	// mid-run, so only the converged state is compared here.
 	if err := e.applyEdgeAdditions([]graph.EdgeTriple{{U: 5, V: 180, W: 2}, {U: 12, V: 150, W: 1}}); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +91,7 @@ func parallelWorkload(t *testing.T, workers int) []map[graph.ID][]int32 {
 			t.Fatal(err)
 		}
 	}
-	if err := e.applyEdgeDeletionsEager([][2]graph.ID{{5, 180}}); err != nil {
+	if err := e.applyEdgeDeletions([][2]graph.ID{{5, 180}}); err != nil {
 		t.Fatal(err)
 	}
 	converge()

@@ -301,8 +301,8 @@ func (c *Coordinator) acceptLoop() {
 }
 
 // readmit re-admits a verified joiner: match it to its slot by mesh address,
-// ship the transformed mutation log, wait for the rebuilt engine, and mark
-// the cluster for a full resync.
+// ship the mutation log, wait for the rebuilt engine, and mark the cluster
+// for a full resync.
 func (c *Coordinator) readmit(cn *conn, join joinBody, deadline time.Time) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -333,10 +333,6 @@ func (c *Coordinator) readmit(cn *conn, join joinBody, deadline time.Time) error
 		ws.cn.Close()
 		ws.alive = false
 	}
-	replay := make([]Op, 0, len(c.log))
-	for _, op := range c.log {
-		replay = append(replay, transformForReplay(op)...)
-	}
 	workers := make([]string, len(c.ws))
 	for i, w := range c.ws {
 		workers[i] = w.meshAddr
@@ -346,7 +342,7 @@ func (c *Coordinator) readmit(cn *conn, join joinBody, deadline time.Time) error
 		Index: ws.index, Workers: workers, Owner: procOwners(c.cfg.P, len(c.ws)),
 		Lo: lo, Hi: hi,
 		BaseSeq:            c.seq,
-		Replay:             replay,
+		Replay:             c.log,
 		RoundTimeoutMillis: c.cfg.Transport.RoundTimeout.Milliseconds(),
 	}, deadline); err != nil {
 		return err
@@ -376,8 +372,8 @@ func (c *Coordinator) readmit(cn *conn, join joinBody, deadline time.Time) error
 		c.obRejoins.Inc()
 	}
 	c.rec.Record("dist", "worker-rejoin", uint64(c.seq),
-		fmt.Sprintf("worker %d (%s) rebuilt from %d replayed ops at seq %d", ws.index, ws.meshAddr, len(replay), c.seq))
-	c.cfg.Logger.Info("worker rejoined", "index", ws.index, "mesh", ws.meshAddr, "replayed", len(replay))
+		fmt.Sprintf("worker %d (%s) rebuilt from %d replayed ops at seq %d", ws.index, ws.meshAddr, len(c.log), c.seq))
+	c.cfg.Logger.Info("worker rejoined", "index", ws.index, "mesh", ws.meshAddr, "replayed", len(c.log))
 	return nil
 }
 
@@ -549,9 +545,8 @@ type outcome struct {
 // drive runs one command across every live worker, servicing the exchange
 // commit barrier as it goes: whenever every still-running worker has voted on
 // an exchange round, the verdict (commit iff all votes are OK) is broadcast
-// and the workers continue — a command may contain many such rounds (a
-// barrier-mode deletion converges internally). Workers whose control
-// connection fails mid-command are marked dead. Callers hold c.mu.
+// and the workers continue. Workers whose control connection fails
+// mid-command are marked dead. Callers hold c.mu.
 func (c *Coordinator) drive(send func(ws *workerState) error) map[int]outcome {
 	var parts []*workerState
 	for _, w := range c.ws {
@@ -875,7 +870,7 @@ func (c *Coordinator) mutateBatch(ops []Op) (int, error) {
 	seq := c.seq
 	start := time.Now()
 	outs := c.drive(func(ws *workerState) error {
-		return ws.cn.send(mMutate, mutateBody{Seq: seq, Ops: ops}, time.Now().Add(30*time.Second))
+		return ws.cn.send(mMutate, mutateBody{Seq: seq, Converged: c.converged, Ops: ops}, time.Now().Add(30*time.Second))
 	})
 	win, err := c.settle(outs)
 	c.coordSpan("coord.mutate", seq, start, fmt.Sprintf("%d logged ops", len(ops)), err)
@@ -962,7 +957,7 @@ func (c *Coordinator) applyMirror(op Op) {
 			}
 			c.g.AddEdge(ed.U, ed.V, ed.W)
 		}
-	case core.MutEdgeDelete, core.MutEdgeDeleteEager:
+	case core.MutEdgeDelete:
 		for _, p := range op.Pairs {
 			c.g.RemoveEdge(p[0], p[1])
 		}

@@ -150,9 +150,9 @@ func compareDistances(t *testing.T, when string, got, want map[graph.ID][]int32)
 // TestClusterMatchesSingleProcess converges a 1-coordinator + 2-worker
 // cluster over real sockets and requires its distances to equal a
 // single-process engine's at the fixpoint — before and after a batch of
-// dynamic updates that exercises every mutation kind, including the
-// barrier-mode deletion whose internal convergence the coordinator has to
-// arbitrate round by round.
+// dynamic updates that exercises every mutation kind, including a deletion
+// on the converged cluster (the exact test, with its endpoint-row
+// all-gather) and deletions mid-analysis (the row wipe).
 func TestClusterMatchesSingleProcess(t *testing.T) {
 	base := testGraph(120)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -178,11 +178,11 @@ func TestClusterMatchesSingleProcess(t *testing.T) {
 	edges := base.Edges()
 	adds := []graph.EdgeTriple{{U: 0, V: graph.ID(base.NumIDs() - 1), W: 1}}
 	dels := [][2]graph.ID{{edges[0].U, edges[0].V}}
-	eager := [][2]graph.ID{{edges[1].U, edges[1].V}}
+	more := [][2]graph.ID{{edges[1].U, edges[1].V}}
 	for _, m := range []core.Mutation{
-		core.EdgeAdd(adds...),
 		core.EdgeDelete(dels...),
-		core.EdgeDeleteEager(eager...),
+		core.EdgeAdd(adds...),
+		core.EdgeDelete(more...),
 		core.WeightSet(edges[2].U, edges[2].V, edges[2].W+3),
 	} {
 		if err := coord.ApplyBatch(&core.Batch{Ops: []core.Mutation{m}}); err != nil {
@@ -200,7 +200,7 @@ func TestClusterMatchesSingleProcess(t *testing.T) {
 	if ora.Graph().HasEdge(missing[0], missing[1]) {
 		t.Fatalf("test graph unexpectedly has edge %v", missing)
 	}
-	// A decrease, so applying it alone would need no convergence barrier.
+	// A decrease, so applying it alone deletes nothing.
 	keep := edges[3]
 	for _, ed := range edges[3:] {
 		if ed.W > 1 {
@@ -633,7 +633,7 @@ func TestClusterApplyBatch(t *testing.T) {
 		core.EdgeAdd(graph.EdgeTriple{U: 0, V: graph.ID(base.NumIDs() - 1), W: 1}),
 		core.WeightSet(edges[2].U, edges[2].V, edges[2].W+3),
 		core.EdgeDelete([2]graph.ID{edges[0].U, edges[0].V}),
-		core.EdgeDeleteEager([2]graph.ID{edges[1].U, edges[1].V}),
+		core.EdgeDelete([2]graph.ID{edges[1].U, edges[1].V}),
 	}}
 	if err := coord.ApplyBatch(batch); err != nil {
 		t.Fatalf("cluster batch: %v", err)
@@ -792,32 +792,6 @@ func TestWorkerReportsCommittedOps(t *testing.T) {
 	}
 }
 
-// TestTransformForReplayMatchesDecomposition pins the replay transform to
-// the engine's shared weight-set decomposition: both paths must produce the
-// same eager-delete + re-add pair, so a rejoined worker's lone replay and a
-// live engine's weight set reach identical graphs.
-func TestTransformForReplayMatchesDecomposition(t *testing.T) {
-	got := transformForReplay(Op{Kind: core.MutSetWeight, Edges: []graph.EdgeTriple{{U: 3, V: 9, W: 7}}})
-	dec := core.DecomposeWeightSet(3, 9, 7, true)
-	if len(got) != 2 {
-		t.Fatalf("set-weight transforms to %d ops, want 2", len(got))
-	}
-	if got[0].Kind != core.MutEdgeDeleteEager || len(got[0].Pairs) != 1 || got[0].Pairs[0] != dec[0].Pairs[0] {
-		t.Fatalf("replay delete %+v does not match decomposition %+v", got[0], dec[0])
-	}
-	if dec[0].Kind != core.MutEdgeDeleteEager {
-		t.Fatalf("eager decomposition produced %v delete", dec[0].Kind)
-	}
-	if got[1].Kind != core.MutEdgeAdd || len(got[1].Edges) != 1 || got[1].Edges[0] != dec[1].Edges[0] {
-		t.Fatalf("replay add %+v does not match decomposition %+v", got[1], dec[1])
-	}
-	// Barrier deletions also flatten to eager for lone replay.
-	del := transformForReplay(Op{Kind: core.MutEdgeDelete, Pairs: [][2]graph.ID{{1, 2}}})
-	if len(del) != 1 || del[0].Kind != core.MutEdgeDeleteEager {
-		t.Fatalf("barrier delete transform = %+v, want one eager delete", del)
-	}
-}
-
 // TestClusterTopKParity: a session wrapped around the coordinator serves the
 // bound-based top-k from its mirrored worker rows, and at the fixpoint the
 // answer matches the single-process oracle's full-scan ranking exactly —
@@ -878,6 +852,109 @@ func TestClusterTopKParity(t *testing.T) {
 
 	if err := sess.Close(); err != nil {
 		t.Fatalf("session close: %v", err)
+	}
+	for i, done := range []chan error{done0, done1} {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("worker %d exit: %v", i, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("worker %d did not exit after shutdown", i)
+		}
+	}
+}
+
+// lockstepSeed is a graph seed on which some RC step leaves exactly one of
+// two workers with its resident slice converged (see
+// TestClusterDeletionNotConverged).
+const lockstepSeed = int64(4)
+
+// TestClusterDeletionNotConverged is the cluster lockstep regression: an
+// edge deletion and a weight increase applied to a two-worker cluster that
+// is not converged — while one worker's slice is converged and the other's
+// is not, and right behind an edge addition in the same batch — must leave
+// every worker in lockstep and match the single-process oracle bit for bit,
+// both right after the batch and at the fixpoint. Each worker used to
+// converge its engine on its own local flag before invalidating, so the
+// workers ran different numbers of exchange rounds and the mesh aborted the
+// command; a worker that chose its invalidation from its local flag would
+// split the cluster over the endpoint-row all-gather the same way.
+func TestClusterDeletionNotConverged(t *testing.T) {
+	base := gen.BarabasiAlbert(100, 2, lockstepSeed, gen.Config{MaxWeight: 4})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	ln := listen(t)
+	coordAddr := ln.Addr().String()
+	_, done0 := startWorker(t, ctx, coordAddr, "", base)
+	_, done1 := startWorker(t, ctx, coordAddr, "", base)
+	reg := obs.NewRegistry()
+	coord, err := NewCoordinator(ln, base.Clone(), Config{
+		Workers:     2,
+		P:           testP,
+		Seed:        testSeed,
+		Partitioner: "multilevel",
+		Transport:   transport.Config{RoundTimeout: 2 * time.Second},
+		JoinTimeout: 30 * time.Second,
+		Obs:         reg,
+	})
+	if err != nil {
+		t.Fatalf("NewCoordinator: %v", err)
+	}
+	defer coord.Close()
+	ora := oracle(t, base.Clone())
+	defer ora.Close()
+
+	apply := func(when string, ops ...core.Mutation) {
+		t.Helper()
+		b := &core.Batch{Ops: ops}
+		if err := coord.ApplyBatch(b); err != nil {
+			t.Fatalf("cluster %s: %v", when, err)
+		}
+		oraBatch := &core.Batch{Ops: make([]core.Mutation, len(ops))}
+		for i := range ops {
+			oraBatch.Ops[i] = ops[i].Clone()
+		}
+		if err := ora.ApplyBatch(oraBatch); err != nil {
+			t.Fatalf("oracle %s: %v", when, err)
+		}
+		compareDistances(t, when, coord.Distances(), ora.Distances())
+	}
+	step := func() error { _, err := coord.Step(); return err }
+	oraStep := func() error { _, err := ora.Step(); return err }
+	edges := base.Edges()
+
+	// Step until exactly one of the two workers reports its slice converged.
+	progress := reg.Gauge("aacc_cluster_convergence_progress", "")
+	for progress.Value() != 0.5 {
+		if coord.Converged() {
+			t.Fatal("no step left exactly one worker converged; pick another lockstepSeed")
+		}
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+		if err := oraStep(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	apply("split convergence",
+		core.EdgeDelete([2]graph.ID{edges[0].U, edges[0].V}),
+		core.WeightSet(edges[1].U, edges[1].V, edges[1].W+3))
+
+	converge(t, "cluster", step, coord.Converged)
+	converge(t, "oracle", oraStep, ora.Converged)
+	apply("behind an addition",
+		core.EdgeAdd(graph.EdgeTriple{U: 0, V: graph.ID(base.NumIDs() - 1), W: 1}),
+		core.EdgeDelete([2]graph.ID{edges[2].U, edges[2].V}),
+		core.WeightSet(edges[3].U, edges[3].V, edges[3].W+2))
+
+	converge(t, "cluster reconverge", step, coord.Converged)
+	converge(t, "oracle reconverge", oraStep, ora.Converged)
+	compareDistances(t, "post-update fixpoint", coord.Distances(), ora.Distances())
+
+	if err := coord.Close(); err != nil {
+		t.Fatalf("coordinator close: %v", err)
 	}
 	for i, done := range []chan error{done0, done1} {
 		select {

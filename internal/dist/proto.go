@@ -80,8 +80,9 @@ type joinBody struct {
 type rejectBody struct{ Reason string }
 
 // assignBody installs a worker's place in the cluster. Replay is the full
-// mutation log (already transformed for lone replay — see transformForReplay)
-// a rejoining worker applies to its freshly built engine before going live.
+// mutation log a rejoining worker applies to its freshly built engine before
+// going live. The engine is not converged, so every deletion in it takes the
+// row wipe, which needs no cluster collective.
 type assignBody struct {
 	Index              int
 	Workers            []string // mesh addresses by worker index
@@ -97,9 +98,13 @@ type stepBody struct{ Seq uint32 }
 // mutateBody carries one committed-prefix batch of mutations: the worker
 // applies Ops in order and stops at the first failure, leaving the prefix
 // applied — the same transactional shape as the engine's own batch apply.
+// Converged is the coordinator's verdict that the whole cluster is at the
+// fixpoint; the worker hands it to its engine (runtime.Remote.SetConverged)
+// so every worker picks the same deletion invalidation.
 type mutateBody struct {
-	Seq uint32
-	Ops []Op
+	Seq       uint32
+	Converged bool
+	Ops       []Op
 }
 
 type resyncBody struct{ Seq uint32 }
@@ -181,7 +186,7 @@ type Op struct {
 // payload (the op outlives the call in the replay log).
 func opFromMutation(m *core.Mutation) (Op, error) {
 	switch m.Kind {
-	case core.MutNone, core.MutEdgeAdd, core.MutEdgeDelete, core.MutEdgeDeleteEager, core.MutSetWeight:
+	case core.MutNone, core.MutEdgeAdd, core.MutEdgeDelete, core.MutSetWeight:
 		return Op{
 			Kind:  m.Kind,
 			Edges: append([]graph.EdgeTriple(nil), m.Edges...),
@@ -200,33 +205,6 @@ func batchOf(ops []Op) *core.Batch {
 		b.Ops[i] = core.Mutation{Kind: op.Kind, Edges: op.Edges, Pairs: op.Pairs}
 	}
 	return b
-}
-
-// transformForReplay rewrites an op so a lone rejoining worker can apply it
-// without cluster collectives: barrier-mode deletions become eager deletions
-// (the barrier's internal convergence would need exchange rounds nobody else
-// is running), and each weight change becomes eager-delete + re-add through
-// the same core.DecomposeWeightSet helper that backs the engine's own
-// weight-increase path — one decomposition, two call sites. Both rewrites
-// reach the same final graph, and the eager invalidation keeps every distance
-// a sound upper bound — the resync after rejoin re-converges the rows
-// exactly.
-func transformForReplay(op Op) []Op {
-	switch op.Kind {
-	case core.MutEdgeDelete:
-		return []Op{{Kind: core.MutEdgeDeleteEager, Pairs: op.Pairs}}
-	case core.MutSetWeight:
-		out := make([]Op, 0, 2*len(op.Edges))
-		for _, ed := range op.Edges {
-			dec := core.DecomposeWeightSet(ed.U, ed.V, ed.W, true)
-			out = append(out,
-				Op{Kind: dec[0].Kind, Pairs: dec[0].Pairs},
-				Op{Kind: dec[1].Kind, Edges: dec[1].Edges})
-		}
-		return out
-	default:
-		return []Op{op}
-	}
 }
 
 // Fingerprint hashes a graph's identifier space and edge multiset (FNV-1a

@@ -176,7 +176,9 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	defer eng.Close() // closes the mesh through the runtime
 
 	// Replay the coordinator's mutation log detached: this worker runs
-	// alone, so the ops were transformed to need no cluster collectives.
+	// alone, so endpoint-row broadcasts stay local, and its fresh engine is
+	// not converged, so every deletion takes the row wipe, which needs no
+	// rows from peers.
 	rrt.SetDetached(true)
 	var replayErr error
 	if n, err := applyOps(eng, assign.Replay); err != nil {
@@ -318,6 +320,7 @@ func serve(ctx context.Context, cfg WorkerConfig, cn *conn, eng *core.Engine, rr
 				return fmt.Errorf("dist: decoding mutate: %w", err)
 			}
 			rrt.SetBaseSeq(cmd.Seq)
+			rrt.SetConverged(cmd.Converged)
 			eng.SetSpanKey(uint64(cmd.Seq))
 			begin := time.Now()
 			committed, opErr := applyOps(eng, cmd.Ops)

@@ -79,7 +79,7 @@ func ED1(cfg Config) (*Result, error) {
 			Title:   fmt.Sprintf("ED-1 — edge deletions: anytime vs restart, %d deletions, %d procs, n=%d", count, cfg.P, cfg.N),
 			Columns: []string{"inject-at", "anytime(s)", "baseline-restart(s)", "restart/anytime"},
 		},
-		Notes: []string{"titled-paper shape: anytime below restart; deletions reuse every surviving partial result"},
+		Notes: []string{"titled-paper shape: anytime below restart; mid-analysis deletions reset suspect rows (near restart cost close to the fixpoint)"},
 	}
 	base := cfg.baseGraph()
 	dels := workload.RandomEdgeDeletions(base, count, cfg.Seed+13)

@@ -103,7 +103,6 @@ var registry = []experiment{
 	{"qual1", "anytime quality trajectory per RC step", Qual1},
 	{"logp1", "LogP analytic model vs measured phase costs", LogP1},
 	{"ext1", "strong scaling of the static analysis over processor counts", Ext1},
-	{"ext2", "deletion modes: barrier vs eager (barrier-free)", Ext2},
 	{"ext3", "eager local refresh ablation (paper's optional FW strategy)", Ext3},
 	{"ext4", "in-memory exchange vs real TCP loopback wire", Ext4},
 	{"ext5", "anytime vs restart robustness across graph families", Ext5},

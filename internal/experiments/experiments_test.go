@@ -23,7 +23,7 @@ func parseCell(t *testing.T, cell string) float64 {
 
 func TestIDsAndDescribe(t *testing.T) {
 	ids := IDs()
-	if len(ids) != 15 {
+	if len(ids) != 14 {
 		t.Fatalf("registered %d experiments", len(ids))
 	}
 	for _, id := range ids {
@@ -215,23 +215,6 @@ func TestExt1ScalingRuns(t *testing.T) {
 			t.Fatalf("MB/proc not decreasing: %v", row)
 		}
 		prev = cur
-	}
-}
-
-func TestExt2DeletionModes(t *testing.T) {
-	cfg := tiny()
-	cfg.N = 400
-	res, err := Run("ext2", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Table.Rows) != 3 {
-		t.Fatalf("ext2 rows: %d", len(res.Table.Rows))
-	}
-	for _, row := range res.Table.Rows {
-		if parseCell(t, row[1]) <= 0 || parseCell(t, row[2]) <= 0 {
-			t.Fatalf("non-positive time: %v", row)
-		}
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 
 // The EXT-* suite extends the paper's evaluation with the studies an IPDPS
 // audience would ask for next: strong scaling over processor counts, the
-// barrier vs barrier-free deletion trade-off, and the eager-local-refresh
-// ablation.
+// eager-local-refresh ablation, the wire's cost and robustness across graph
+// families.
 
 // Ext1 measures strong scaling: the same static analysis at P = 2..32
 // simulated processors, reporting modelled compute, communication and the
@@ -51,66 +51,6 @@ func Ext1(cfg Config) (*Result, error) {
 			fmt.Sprintf("%.3f", st.SimTotal().Seconds()),
 			fmt.Sprintf("%d", steps),
 			fmt.Sprintf("%.3f", mbPerProc),
-		)
-	}
-	return res, nil
-}
-
-// Ext2 compares the two deletion modes: the barrier mode (converge, then
-// surgically invalidate through-edge entries) against the eager barrier-free
-// mode (wipe any row that could be affected), at growing batch sizes from a
-// converged analysis.
-func Ext2(cfg Config) (*Result, error) {
-	res := &Result{
-		ID: "ext2",
-		Table: metrics.Table{
-			Title:   fmt.Sprintf("EXT-2 — deletion modes: barrier vs eager, %d procs, n=%d", cfg.P, cfg.N),
-			Columns: []string{"deleted", "barrier-delta(s)", "eager-delta(s)", "eager/barrier"},
-		},
-		Notes: []string{
-			"barrier mode invalidates surgically but requires converged state;",
-			"eager mode works mid-analysis but wipes whole rows (approaching restart cost)",
-		},
-	}
-	base := cfg.baseGraph()
-	for _, count := range []int{cfg.scaled(256), cfg.scaled(1024), cfg.scaled(4096)} {
-		dels := workload.RandomEdgeDeletions(base, count, cfg.Seed+int64(count))
-		run := func(eager bool) (float64, error) {
-			e, err := cfg.newEngine(base.Clone())
-			if err != nil {
-				return 0, err
-			}
-			if _, err := e.Run(); err != nil {
-				return 0, err
-			}
-			before := e.Stats().SimTotal()
-			if eager {
-				_, err = apply(e, core.EdgeDeleteEager(dels...))
-			} else {
-				_, err = apply(e, core.EdgeDelete(dels...))
-			}
-			if err != nil {
-				return 0, err
-			}
-			if _, err := e.Run(); err != nil {
-				return 0, err
-			}
-			return simSeconds(e.Stats().SimTotal() - before), nil
-		}
-		cfg.progress("ext2: deleting %d edges", len(dels))
-		barrier, err := run(false)
-		if err != nil {
-			return nil, err
-		}
-		eager, err := run(true)
-		if err != nil {
-			return nil, err
-		}
-		res.Table.AddRow(
-			fmt.Sprintf("%d", len(dels)),
-			fmt.Sprintf("%.3f", barrier),
-			fmt.Sprintf("%.3f", eager),
-			fmt.Sprintf("%.2fx", eager/barrier),
 		)
 	}
 	return res, nil

@@ -174,7 +174,7 @@ func (h *Histogram) Sum() float64 {
 
 // DefDurationBuckets is the default bucket layout for phase/latency
 // histograms: 10µs to 10s, roughly logarithmic. RC-step phases on bench
-// graphs land mid-range; wire exchanges and barrier deletions use the tail.
+// graphs land mid-range; wire exchanges and large deletions use the tail.
 var DefDurationBuckets = []float64{
 	10e-6, 25e-6, 100e-6, 250e-6,
 	1e-3, 2.5e-3, 10e-3, 25e-3,

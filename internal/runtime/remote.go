@@ -19,6 +19,12 @@ import (
 type Partial interface {
 	// Resident reports whether processor p's data lives in this process.
 	Resident(p int) bool
+	// Converged reports the coordinator's verdict that every process was at
+	// the fixpoint when the current command was issued. A process's own
+	// convergence covers only its resident processors, so decisions every
+	// process must take alike (the engine's choice of deletion
+	// invalidation) read this instead.
+	Converged() bool
 }
 
 // RowBroadcaster is implemented by runtimes that can all-gather
@@ -71,6 +77,11 @@ type Remote struct {
 	// worker wires it to the coordinator's step-barrier round trip.
 	barrier func(local error) error
 
+	// converged is the coordinator's convergence verdict for the current
+	// command, installed by SetConverged like the base seq. A fresh runtime
+	// (a rejoining worker's detached replay) is not converged.
+	converged bool
+
 	// detached suppresses cross-process collectives in BroadcastRows: a
 	// rejoining worker replaying the mutation log runs alone and must not
 	// wait on a mesh round nobody else is running.
@@ -98,6 +109,13 @@ func NewRemote(p, lo, hi int, model logp.Params, codec cluster.WireCodec, tr Rem
 
 // Resident implements Partial.
 func (r *Remote) Resident(p int) bool { return p >= r.lo && p < r.hi }
+
+// Converged implements Partial.
+func (r *Remote) Converged() bool { return r.converged }
+
+// SetConverged installs the coordinator's convergence verdict for the next
+// engine operation.
+func (r *Remote) SetConverged(v bool) { r.converged = v }
 
 // SetBaseSeq installs the coordinator-assigned sequence number for the next
 // collective. Call before each engine operation that was stamped with one.

@@ -97,12 +97,12 @@ const (
 )
 
 // ParseKind resolves a user-facing runtime name. The empty string means
-// Sim; "wire" is accepted as an alias for the TCP wire runtime.
+// Sim.
 func ParseKind(s string) (Kind, error) {
 	switch s {
-	case "", "sim", "mem", "memory":
+	case "", "sim":
 		return Sim, nil
-	case "tcp", "wire":
+	case "tcp":
 		return WireTCP, nil
 	default:
 		return "", fmt.Errorf("runtime: unknown runtime %q (want sim or tcp)", s)

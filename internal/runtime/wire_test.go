@@ -235,10 +235,11 @@ func TestParseKind(t *testing.T) {
 	}{
 		{"", Sim, false},
 		{"sim", Sim, false},
-		{"mem", Sim, false},
 		{"tcp", WireTCP, false},
-		{"wire", WireTCP, false},
 		{"mpi", "", true},
+		{"mem", "", true},
+		{"memory", "", true},
+		{"wire", "", true},
 	} {
 		got, err := ParseKind(tc.in)
 		if tc.err != (err != nil) || got != tc.want {

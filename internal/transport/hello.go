@@ -29,8 +29,10 @@ const (
 	// v3: ready/result replies piggyback federated worker metric snapshots
 	// and per-command spans (resultBody.Metrics/Spans). v4: a wire op is
 	// the image of one core.Mutation (numeric kind; a weight set carries its
-	// edges, so a multi-edge set stays one atomic op).
-	ProtocolVersion = 4
+	// edges, so a multi-edge set stays one atomic op). v5: one edge-deletion
+	// kind (the kind numbers after it shift down by one), and mMutate
+	// carries the coordinator's convergence verdict (mutateBody.Converged).
+	ProtocolVersion = 5
 )
 
 // Hello ack statuses.

@@ -271,7 +271,7 @@ func RandomEdgeDeletions(g graph.View, count int, seed int64) [][2]graph.ID {
 
 // Churn generates an endless sustained-ingest stream of typed mutations for
 // throughput benchmarks and smoke tests: edge additions of currently-absent
-// pairs, eager deletions and weight-decreasing re-adds of edges the stream
+// pairs, deletions and weight-decreasing re-adds of edges the stream
 // itself added. It tracks only its own additions in a private mirror — it
 // never touches pre-existing graph edges — so every emitted mutation is
 // valid against any engine state the stream alone produced, and the
@@ -312,7 +312,7 @@ func NewChurn(g graph.View, maxW int32, seed int64) *Churn {
 }
 
 // Next returns the stream's next mutation. The mix is roughly 60% additions,
-// 25% eager deletions of stream-added edges, 15% weight-decreasing re-adds
+// 25% deletions of stream-added edges, 15% weight-decreasing re-adds
 // (an improving AddEdge, the engine's cheap weight path); while the stream
 // owns no edges yet it emits additions only.
 func (c *Churn) Next() core.Mutation {
@@ -322,7 +322,7 @@ func (c *Churn) Next() core.Mutation {
 		p := c.ring[c.rng.Intn(len(c.ring))]
 		if c.mine[p] {
 			c.mine[p] = false
-			return core.EdgeDeleteEager(p)
+			return core.EdgeDelete(p)
 		}
 		fallthrough
 	case roll < 8 && len(c.ring) > 0:

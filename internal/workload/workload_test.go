@@ -254,7 +254,7 @@ func TestChurnStreamIsValidAndSelfContained(t *testing.T) {
 				}
 				added[p] = true
 			}
-		case core.MutEdgeDeleteEager:
+		case core.MutEdgeDelete:
 			for _, p := range m.Pairs {
 				if p[0] > p[1] {
 					p[0], p[1] = p[1], p[0]
@@ -270,7 +270,7 @@ func TestChurnStreamIsValidAndSelfContained(t *testing.T) {
 			t.Fatalf("op %d: unexpected kind %v", i, m.Kind)
 		}
 	}
-	if kinds[core.MutEdgeAdd] == 0 || kinds[core.MutEdgeDeleteEager] == 0 {
+	if kinds[core.MutEdgeAdd] == 0 || kinds[core.MutEdgeDelete] == 0 {
 		t.Fatalf("stream lacks variety: %v", kinds)
 	}
 }
