@@ -154,12 +154,10 @@ type Snapshot struct {
 	scoresOnce sync.Once
 	scores     centrality.Scores
 
-	// topk is the frozen closeness bound index for this epoch, non-nil on
-	// snapshots published while the session's index was active; topkLazy is
-	// the once-built fallback for older snapshots (see topk.go).
-	topk     *centrality.BoundState
+	// topk is the epoch's closeness bound index, built by the first top-k
+	// read (see topk.go).
 	topkOnce sync.Once
-	topkLazy *centrality.BoundState
+	topk     *centrality.BoundState
 
 	// next is closed when the succeeding snapshot is published — the
 	// lock-free broadcast WaitFor blocks on.
@@ -240,17 +238,6 @@ type Session struct {
 	epoch        int
 	baseStep     int
 	appliedOps   int
-
-	// Top-k bound index (topk.go). topkOn flips true on the first TopK
-	// query (from any goroutine); the rest is loop-goroutine state: the
-	// live index synced at each publish, the appliedOps count it was built
-	// against, and the graph's minimum edge weight (recomputed only when
-	// mutations may have changed it).
-	topkOn    atomic.Bool
-	topkState *centrality.BoundState
-	topkBase  int
-	minW      int32
-	minWOps   int
 }
 
 // Failure backoff bounds: after a failed RC step the loop waits before
@@ -602,15 +589,6 @@ func (s *Session) publish() {
 	start := time.Now()
 	s.epoch++
 	g := s.eng.Graph()
-	dist := s.eng.Distances()
-	live := append([]graph.ID(nil), g.Vertices()...)
-	width := g.NumIDs()
-	if s.minW == 0 || s.minWOps != s.appliedOps {
-		// Edge weights only change through mutations; between batches the
-		// cached minimum (the bound index's distance floor) stays valid.
-		s.minW = centrality.MinEdgeWeight(g)
-		s.minWOps = s.appliedOps
-	}
 	snap := &Snapshot{
 		Epoch:       s.epoch,
 		Step:        s.eng.StepCount(),
@@ -622,11 +600,10 @@ func (s *Session) publish() {
 		NumEdges:    g.NumEdges(),
 		AppliedOps:  s.appliedOps,
 		Stats:       s.eng.Stats(),
-		dist:        dist,
-		live:        live,
-		width:       width,
-		minW:        s.minW,
-		topk:        s.syncTopK(dist, live, width),
+		dist:        s.eng.Distances(),
+		live:        append([]graph.ID(nil), g.Vertices()...),
+		width:       g.NumIDs(),
+		minW:        centrality.MinEdgeWeight(g),
 		taken:       start,
 		next:        make(chan struct{}),
 	}

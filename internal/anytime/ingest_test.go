@@ -353,7 +353,10 @@ func TestSessionIngestDuringDegraded(t *testing.T) {
 	defer cancel()
 	g := testGraph(60)
 	var or *outageRuntime
+	// Start paused and cut the runtime before the first step: a session
+	// that converged first would never attempt the failing round.
 	s := mustSession(t, g, Options{
+		StartPaused: true,
 		Engine: core.Options{P: 4, Seed: 7,
 			RuntimeFactory: func(p int, model logp.Params) (runtime.Runtime, error) {
 				or = &outageRuntime{Runtime: runtime.NewSim(p, model)}
@@ -361,6 +364,9 @@ func TestSessionIngestDuringDegraded(t *testing.T) {
 			}},
 	})
 	or.fail.Store(true)
+	if err := s.Resume(); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := s.WaitFor(ctx, func(sn *Snapshot) bool { return sn.Degraded }); err != nil {
 		t.Fatal(err)
 	}

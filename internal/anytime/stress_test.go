@@ -20,8 +20,9 @@ import (
 // Readers check the session invariants — epochs and steps advance
 // monotonically, every snapshot is internally consistent (its cached Scores
 // equal a recomputation from its own rows, which fails if a row were ever
-// recycled underneath a live snapshot) — and the final state must equal the
-// sequential oracle on the mutated graph.
+// recycled underneath a live snapshot, and its top-k scores equal those
+// Scores) — and the final state must equal the sequential oracle on the
+// mutated graph.
 func TestSessionStress(t *testing.T) {
 	sessionStress(t, core.Options{P: 4, Seed: 7})
 }
@@ -77,6 +78,15 @@ func sessionStress(t *testing.T, opts core.Options) {
 						if got.Harmonic[v] != want.Harmonic[v] || got.Classic[v] != want.Classic[v] {
 							errc <- fmt.Errorf("reader %d: snapshot %d scores drifted for vertex %d",
 								r, sn.Epoch, v)
+							return
+						}
+					}
+					// The epoch's bound index is built by whichever reader
+					// ranks first; every reader must see the same scores.
+					for _, en := range sn.TopK(5, true).Entries {
+						if !(en.Lower <= en.Score && en.Score <= en.Upper) || en.Score != got.Harmonic[en.V] {
+							errc <- fmt.Errorf("reader %d: snapshot %d top-k entry %+v disagrees with its scores (%g)",
+								r, sn.Epoch, en, got.Harmonic[en.V])
 							return
 						}
 					}

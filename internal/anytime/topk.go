@@ -1,28 +1,23 @@
 package anytime
 
-// Bound-based top-k serving. The session maintains a centrality.BoundState
-// over the engine's partial distance rows: built in one full pass the first
-// time anyone asks for a top-k, then kept current at each publish by
-// re-aggregating only the rows that changed since the previous epoch —
-// monotone row tightening is free to track, while any applied mutation
-// invalidates the index (recorded in the flight recorder) and forces a
-// rebuild at the next publish. Each snapshot freezes an immutable clone, so
-// queries rank lock-free against a consistent epoch while the orchestration
-// goroutine keeps syncing.
+// Bound-based top-k serving. Each snapshot carries one
+// centrality.BoundState over its own partial distance rows, built in one
+// full pass by the first top-k read of that epoch (under the snapshot's
+// sync.Once) and shared by every later reader, so queries rank lock-free
+// against a consistent epoch. Publishing never touches the index: an epoch
+// nobody ranks costs nothing, and a mutation needs no invalidation because
+// the next snapshot starts without an index of its own.
 
 import (
-	"fmt"
 	"time"
 
 	"aacc/internal/centrality"
-	"aacc/internal/graph"
 )
 
 // TopK answers a bound-based top-k closeness query from the current
 // snapshot: the k highest-scoring vertices ranked with per-vertex
 // lower/upper bounds and a confirmed-prefix marker (see
-// centrality.BoundState.TopK). Safe for any number of goroutines; the first
-// call activates incremental index maintenance on future publishes.
+// centrality.BoundState.TopK). Safe for any number of goroutines.
 func (s *Session) TopK(k int, harmonic bool) centrality.TopKResult {
 	_, res := s.TopKAt(k, harmonic)
 	return res
@@ -32,7 +27,6 @@ func (s *Session) TopK(k int, harmonic bool) centrality.TopKResult {
 // callers (the /topk endpoint) can report epoch/step/convergence
 // consistently with the ranking.
 func (s *Session) TopKAt(k int, harmonic bool) (*Snapshot, centrality.TopKResult) {
-	s.topkOn.Store(true)
 	start := time.Now()
 	sn := s.Snapshot()
 	res := sn.TopK(k, harmonic)
@@ -48,42 +42,15 @@ func (s *Session) TopKAt(k int, harmonic bool) (*Snapshot, centrality.TopKResult
 }
 
 // TopK ranks the snapshot's k most central vertices from its closeness
-// bounds. Snapshots published while the session's index was active carry a
-// frozen index (O(n log k) per query); otherwise the bounds are derived
-// from the snapshot's rows once, memoised, and shared by every caller.
+// bounds in O(n log k), after the epoch's first reader built the index.
 func (sn *Snapshot) TopK(k int, harmonic bool) centrality.TopKResult {
-	idx := sn.topk
-	if idx == nil {
-		sn.topkOnce.Do(func() {
-			sn.topkLazy = centrality.NewBoundState(sn.dist, sn.live, sn.width, sn.minW)
-		})
-		idx = sn.topkLazy
-	}
-	return idx.TopK(k, harmonic)
+	return sn.index().TopK(k, harmonic)
 }
 
-// syncTopK runs on the orchestration goroutine at publish time: it brings
-// the session's bound index up to the rows being published and returns an
-// immutable clone for the new snapshot (nil while no TopK query has ever
-// activated maintenance). Absent mutations the index is synced row-by-row
-// against the previous epoch's rows; applied mutations invalidate it —
-// deletions break row monotonicity and vertex ops change the target set —
-// so the index is rebuilt from scratch and the invalidation is recorded.
-func (s *Session) syncTopK(dist map[graph.ID][]int32, live []graph.ID, width int) *centrality.BoundState {
-	if !s.topkOn.Load() {
-		return nil
-	}
-	prev := s.cur.Load()
-	if s.topkState == nil || prev == nil || s.topkBase != s.appliedOps {
-		if s.topkState != nil && s.topkBase != s.appliedOps {
-			s.rec.Record("session", "topk-invalidate", s.traceKey(),
-				fmt.Sprintf("%d mutations applied since epoch %d; rebuilding closeness bound index",
-					s.appliedOps-s.topkBase, prev.Epoch))
-		}
-		s.topkState = centrality.NewBoundState(dist, live, width, s.minW)
-	} else {
-		s.topkState.Sync(dist, prev.dist)
-	}
-	s.topkBase = s.appliedOps
-	return s.topkState.Clone()
+// index returns the snapshot's bound index, building it on first use.
+func (sn *Snapshot) index() *centrality.BoundState {
+	sn.topkOnce.Do(func() {
+		sn.topk = centrality.NewBoundState(sn.dist, sn.live, sn.width, sn.minW)
+	})
+	return sn.topk
 }

@@ -5,9 +5,7 @@ package centrality
 
 import (
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"aacc/internal/dv"
 	"aacc/internal/graph"
@@ -70,90 +68,6 @@ func FromDistances(dist map[graph.ID][]int32, live []graph.ID, width int) Scores
 func Exact(g graph.View, workers int) Scores {
 	dist := sssp.APSP(g, workers)
 	return FromDistances(dist, g.Vertices(), g.NumIDs())
-}
-
-// ApproxCloseness estimates closeness centrality from a pivot sample in the
-// style of Okamoto, Chen and Li ("Ranking of closeness centrality for
-// large-scale social networks", cited by the paper as [22]): the distance
-// sum of every vertex is estimated as n/k times its distance sum to k
-// sampled pivots. Exact for pivots = all vertices; with k = O(log n / ε²)
-// pivots the ranking of highly-central vertices is preserved with high
-// probability. Only the Classic field is estimated (harmonic extrapolates
-// the same way); Valid marks vertices that reached every pivot.
-func ApproxCloseness(v graph.View, pivots []graph.ID, workers int) Scores {
-	g := graph.Materialize(v)
-	n := g.NumVertices()
-	s := Scores{
-		Classic:  make([]float64, g.NumIDs()),
-		Harmonic: make([]float64, g.NumIDs()),
-		Valid:    make([]bool, g.NumIDs()),
-	}
-	if len(pivots) == 0 || n <= 1 {
-		return s
-	}
-	// One SSSP per pivot gives every vertex's distance to all pivots.
-	type pivotDist struct {
-		pivot graph.ID
-		dist  []int32
-	}
-	rows := make([]pivotDist, len(pivots))
-	var wg sync.WaitGroup
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	next := make(chan int, len(pivots))
-	for i := range pivots {
-		next <- i
-	}
-	close(next)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				rows[i] = pivotDist{pivot: pivots[i], dist: sssp.Dijkstra(g, pivots[i])}
-			}
-		}()
-	}
-	wg.Wait()
-	scale := float64(n) / float64(len(pivots))
-	for _, v := range g.Vertices() {
-		var sum int64
-		var harmonic float64
-		ok := true
-		for _, pd := range rows {
-			if pd.pivot == v {
-				continue
-			}
-			d := pd.dist[v]
-			if d == dv.Inf {
-				ok = false
-				break
-			}
-			sum += int64(d)
-			harmonic += 1 / float64(d)
-		}
-		if !ok || sum == 0 {
-			continue
-		}
-		s.Valid[v] = true
-		s.Classic[v] = 1 / (float64(sum) * scale)
-		s.Harmonic[v] = harmonic * scale
-	}
-	return s
-}
-
-// Degree computes degree centrality (degree / (n-1)) for the live vertices.
-func Degree(g graph.View) []float64 {
-	out := make([]float64, g.NumIDs())
-	n := g.NumVertices()
-	if n <= 1 {
-		return out
-	}
-	for _, v := range g.Vertices() {
-		out[v] = float64(g.Degree(v)) / float64(n-1)
-	}
-	return out
 }
 
 // TopK returns the k highest-scoring valid vertices, ties broken by ID.

@@ -71,16 +71,6 @@ func TestFromDistancesPartial(t *testing.T) {
 	}
 }
 
-func TestDegreeCentrality(t *testing.T) {
-	d := Degree(gen.Star(5))
-	if d[0] != 1 {
-		t.Fatalf("center degree centrality %g", d[0])
-	}
-	if math.Abs(d[1]-0.25) > 1e-12 {
-		t.Fatalf("leaf %g", d[1])
-	}
-}
-
 func TestTopKOverlapIdentical(t *testing.T) {
 	s := Exact(gen.BarabasiAlbert(100, 2, 3, gen.Config{}), 1)
 	if o := TopKOverlap(s, s, 10); o != 1 {

@@ -29,10 +29,11 @@ import (
 )
 
 // BoundState holds per-vertex closeness bounds derived from a set of
-// distance rows. It is built in one full pass (NewBoundState) and then kept
-// current row-at-a-time (UpdateRow / Sync) as epochs advance — recomputing
-// only the rows that changed, which is what makes top-k serving cheaper
-// than a full Scores scan. The zero value is not usable.
+// distance rows. It is built in one full pass (NewBoundState) and is
+// immutable afterwards: each anytime snapshot builds its own on the first
+// top-k read and shares it with every later reader, so answering a query
+// is O(n log k) ranking work instead of a full Scores scan. The zero value
+// is not usable.
 //
 // Aggregation order matches FromDistances exactly (live-slice order per
 // row), so a fully-known row's bounds collapse to bit-identical Scores
@@ -50,7 +51,8 @@ type BoundState struct {
 // NewBoundState builds bounds for every live vertex from dist in one full
 // pass. live lists the target vertices (ascending, as graph.Vertices
 // returns); width is the ID-space size; minW is the smallest live edge
-// weight (see MinEdgeWeight), clamped to ≥ 1.
+// weight (see MinEdgeWeight), clamped to ≥ 1. A live vertex without a row
+// in dist stays unscored.
 func NewBoundState(dist map[graph.ID][]int32, live []graph.ID, width int, minW int32) *BoundState {
 	if minW < 1 {
 		minW = 1
@@ -65,81 +67,31 @@ func NewBoundState(dist map[graph.ID][]int32, live []graph.ID, width int, minW i
 		harm:  make([]float64, width),
 	}
 	for _, v := range b.live {
-		b.UpdateRow(v, dist[v])
+		row := dist[v]
+		if row == nil || int(v) >= width || v < 0 {
+			continue
+		}
+		var sum int64
+		var harm float64
+		var known int32
+		for _, u := range b.live {
+			if u == v || int(u) >= len(row) {
+				continue
+			}
+			d := row[u]
+			if d == dv.Inf {
+				continue
+			}
+			sum += int64(d)
+			harm += 1 / float64(d)
+			known++
+		}
+		b.valid[v] = true
+		b.known[v] = known
+		b.sum[v] = sum
+		b.harm[v] = harm
 	}
 	return b
-}
-
-// UpdateRow recomputes v's aggregates from row (nil marks v unscored). The
-// cost is one pass over the live targets, paid only for rows that changed.
-func (b *BoundState) UpdateRow(v graph.ID, row []int32) {
-	if int(v) >= b.width || v < 0 {
-		return
-	}
-	if row == nil {
-		b.valid[v] = false
-		b.known[v], b.sum[v], b.harm[v] = 0, 0, 0
-		return
-	}
-	var sum int64
-	var harm float64
-	var known int32
-	for _, u := range b.live {
-		if u == v || int(u) >= len(row) {
-			continue
-		}
-		d := row[u]
-		if d == dv.Inf {
-			continue
-		}
-		sum += int64(d)
-		harm += 1 / float64(d)
-		known++
-	}
-	b.valid[v] = true
-	b.known[v] = known
-	b.sum[v] = sum
-	b.harm[v] = harm
-}
-
-// Sync brings the state from the prev row set to dist, recomputing only the
-// rows whose contents changed. It assumes the live set and width did not
-// change between the two row sets — any mutation invalidates the state and
-// requires a fresh NewBoundState instead.
-func (b *BoundState) Sync(dist, prev map[graph.ID][]int32) {
-	for _, v := range b.live {
-		row, old := dist[v], prev[v]
-		if rowsEqual(row, old) {
-			continue
-		}
-		b.UpdateRow(v, row)
-	}
-}
-
-func rowsEqual(a, c []int32) bool {
-	if len(a) != len(c) {
-		return false
-	}
-	for i := range a {
-		if a[i] != c[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Clone returns an independent deep copy — the immutable view a snapshot
-// freezes at publish time while the session keeps syncing the original.
-func (b *BoundState) Clone() *BoundState {
-	return &BoundState{
-		width: b.width,
-		minW:  b.minW,
-		live:  append([]graph.ID(nil), b.live...),
-		valid: append([]bool(nil), b.valid...),
-		known: append([]int32(nil), b.known...),
-		sum:   append([]int64(nil), b.sum...),
-		harm:  append([]float64(nil), b.harm...),
-	}
 }
 
 // MinW returns the minimum-edge-weight floor the unknown-pair bound uses.

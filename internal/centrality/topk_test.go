@@ -127,43 +127,6 @@ func maskRows(dist map[graph.ID][]int32, live []graph.ID, frac float64, rng *ran
 	return out
 }
 
-// TestBoundStateSyncMatchesRebuild drives the incremental Sync path through
-// a sequence of monotone row improvements and checks it stays bit-identical
-// to a from-scratch rebuild at every step.
-func TestBoundStateSyncMatchesRebuild(t *testing.T) {
-	g, exact := topkTestGraph(t, 100, 2)
-	live, width := g.Vertices(), g.NumIDs()
-	minW := MinEdgeWeight(g)
-	rng := rand.New(rand.NewSource(7))
-
-	prev := maskRows(exact, live, 0.9, rng)
-	bs := NewBoundState(prev, live, width, minW)
-	for epoch := 0; epoch < 6; epoch++ {
-		// Reveal some masked entries (rows only ever tighten mid-run).
-		next := make(map[graph.ID][]int32, len(prev))
-		for v, row := range prev {
-			cp := append([]int32(nil), row...)
-			for u := range cp {
-				if cp[u] == dv.Inf && exact[v][u] != dv.Inf && rng.Float64() < 0.4 {
-					cp[u] = exact[v][u]
-				}
-			}
-			next[v] = cp
-		}
-		bs.Sync(next, prev)
-		fresh := NewBoundState(next, live, width, minW)
-		for _, v := range live {
-			glo, ghi, gok := bs.Bounds(v, true)
-			wlo, whi, wok := fresh.Bounds(v, true)
-			if gok != wok || glo != wlo || ghi != whi {
-				t.Fatalf("epoch %d vertex %d: synced [%g,%g,%t] != rebuilt [%g,%g,%t]",
-					epoch, v, glo, ghi, gok, wlo, whi, wok)
-			}
-		}
-		prev = next
-	}
-}
-
 // TestTopKResolutionSoundness is the pruning-correctness property: on
 // partial rows, however the unknown pairs resolve (any distance ≥ minW, or
 // staying unreachable), (a) the confirmed prefix matches the full-scan
@@ -273,11 +236,10 @@ func TestMinEdgeWeight(t *testing.T) {
 }
 
 // BenchmarkTopKQuery compares bound-based top-k serving against the full
-// FromDistances-scan path it replaces, on converged distances. The bound
-// index aggregates rows incrementally at publish time, so answering a query
-// is O(n log k) ranking work; the full scan re-aggregates every O(n²)
-// distance entry per query. Build measures the one-off full-pass cost of
-// the index itself.
+// FromDistances-scan path it replaces, on converged distances. A snapshot
+// builds its bound index once, on its first top-k read, so every later
+// query is O(n log k) ranking work; the full scan re-aggregates every O(n²)
+// distance entry per query. Build measures that one-off full-pass cost.
 func BenchmarkTopKQuery(b *testing.B) {
 	g, dist := topkTestGraph(b, 600, 1)
 	live, width := g.Vertices(), g.NumIDs()

@@ -15,7 +15,6 @@ import (
 	"os"
 	"os/signal"
 	goruntime "runtime"
-	"runtime/pprof"
 	"strings"
 	"sync"
 	"syscall"
@@ -129,50 +128,6 @@ func PickPartitioner(name string, seed int64) (partition.Partitioner, error) {
 	}
 }
 
-// startProfiles begins CPU profiling to cpuPath and returns a stop function
-// that ends it and writes an allocation profile to memPath. Either path may
-// be empty to skip that profile. The stop function is safe to call exactly
-// once and reports the first error encountered.
-func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
-	var cpuFile *os.File
-	if cpuPath != "" {
-		cpuFile, err = os.Create(cpuPath)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(cpuFile); err != nil {
-			cpuFile.Close()
-			return nil, err
-		}
-	}
-	return func() error {
-		var first error
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			if err := cpuFile.Close(); err != nil {
-				first = err
-			}
-		}
-		if memPath != "" {
-			f, err := os.Create(memPath)
-			if err != nil {
-				if first == nil {
-					first = err
-				}
-				return first
-			}
-			goruntime.GC() // flush recent frees so the profile reflects live heap
-			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil && first == nil {
-				first = err
-			}
-			if err := f.Close(); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}, nil
-}
-
 // lockedWriter serialises writes to one writer: the progress logger, the
 // report and a serve-mode ingest driver's goroutine all print to stdout.
 type lockedWriter struct {
@@ -211,8 +166,6 @@ func Analysis(args []string, stdout io.Writer) (err error) {
 		pubEvery   = fs.Int("publish-every", 1, "serve mode: publish a snapshot every k rc steps")
 		stepBudget = fs.Int("step-budget", 0, "serve mode: stop stepping after this many rc steps (0 = unlimited)")
 		deadline   = fs.Duration("deadline", 0, "serve mode: wall-clock stepping deadline (0 = none)")
-		cpuProf    = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memProf    = fs.String("memprofile", "", "write a pprof allocation profile after the run to this file")
 		logLevel   = fs.String("log-level", "info", "progress log level: debug, info, warn, error")
 		obsAddr    = fs.String("obs-addr", "", "listen address for the observability endpoint (/metrics, /healthz, /statusz, /debug/events, /debug/pprof) — any role, including workers and batch runs")
 		linger     = fs.Duration("linger", 0, "keep the process (and observability endpoint) up this long after the analysis settles")
@@ -291,16 +244,6 @@ func Analysis(args []string, stdout io.Writer) (err error) {
 	if *role != "" && (*rtName != "sim" || *faultRate > 0) {
 		return fmt.Errorf("-runtime/-fault-rate configure the single-process runtime; a multi-process deployment always exchanges over the worker mesh")
 	}
-	stopProf, err := startProfiles(*cpuProf, *memProf)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if perr := stopProf(); perr != nil {
-			logger.Error("profile write failed", "err", perr)
-		}
-	}()
-
 	g, err := LoadOrGenerate(*graphPath, *genName, *n, *seed, int32(*maxW))
 	if err != nil {
 		return err
@@ -855,28 +798,17 @@ func Bench(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("aacc-bench", flag.ContinueOnError)
 	fs.SetOutput(stdout)
 	var (
-		list    = fs.String("experiment", "all", "comma-separated experiment ids, or 'all'")
-		n       = fs.Int("n", 2000, "base graph size (paper: 50000)")
-		p       = fs.Int("p", 16, "simulated processors")
-		seed    = fs.Int64("seed", 20160516, "random seed")
-		maxW    = fs.Int("maxw", 1, "maximum random edge weight")
-		verb    = fs.Bool("v", false, "print per-run progress")
-		show    = fs.Bool("list", false, "list experiment ids and exit")
-		cpuProf = fs.String("cpuprofile", "", "write a pprof CPU profile of the experiment runs to this file")
-		memProf = fs.String("memprofile", "", "write a pprof allocation profile after the runs to this file")
+		list = fs.String("experiment", "all", "comma-separated experiment ids, or 'all'")
+		n    = fs.Int("n", 2000, "base graph size (paper: 50000)")
+		p    = fs.Int("p", 16, "simulated processors")
+		seed = fs.Int64("seed", 20160516, "random seed")
+		maxW = fs.Int("maxw", 1, "maximum random edge weight")
+		verb = fs.Bool("v", false, "print per-run progress")
+		show = fs.Bool("list", false, "list experiment ids and exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	stopProf, err := startProfiles(*cpuProf, *memProf)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintf(stdout, "profile error: %v\n", err)
-		}
-	}()
 	if *show {
 		for _, id := range experiments.IDs() {
 			fmt.Fprintf(stdout, "%-7s %s\n", id, experiments.Describe(id))

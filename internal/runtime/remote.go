@@ -191,7 +191,10 @@ func EncodeRows(rows map[graph.ID][]int32) []byte {
 	return buf
 }
 
-// DecodeRows parses an EncodeRows payload into the given map.
+// DecodeRows parses an EncodeRows payload into the given map. The bytes
+// come from another process, so it rejects a truncated payload and a
+// negative vertex ID, and allocates no more row storage than the payload
+// carries.
 func DecodeRows(buf []byte, into map[graph.ID][]int32) error {
 	if len(buf) < 4 {
 		return fmt.Errorf("runtime: short row payload (%d bytes)", len(buf))
@@ -205,6 +208,9 @@ func DecodeRows(buf []byte, into map[graph.ID][]int32) error {
 		id := graph.ID(binary.LittleEndian.Uint32(buf[off : off+4]))
 		n := int(binary.LittleEndian.Uint32(buf[off+4 : off+8]))
 		off += 8
+		if id < 0 {
+			return fmt.Errorf("runtime: negative vertex id %d in row payload", id)
+		}
 		if n < 0 || len(buf)-off < 4*n {
 			return fmt.Errorf("runtime: truncated row %d", id)
 		}
