@@ -64,7 +64,7 @@ func TestTopKMatchesFullScanAtConvergence(t *testing.T) {
 func TestTopKBoundsMonotone(t *testing.T) {
 	g := gen.BarabasiAlbert(150, 2, 17, gen.Config{MaxWeight: 2})
 	s := mustSession(t, g, Options{StartPaused: true})
-	s.TopK(5, true) // activate incremental maintenance from epoch 1
+	s.TopK(5, true) // a first read; every snapshot builds its own index when first read
 	type interval struct{ lo, hi float64 }
 	last := make(map[graph.ID]map[bool]interval)
 	check := func(sn *Snapshot) {

@@ -172,7 +172,7 @@ func Analysis(args []string, stdout io.Writer) (err error) {
 		role       = fs.String("role", "", "multi-process deployment role: coordinator or worker (default: single-process)")
 		listenAddr = fs.String("listen", "", "coordinator: control listen address (required); worker: peer-mesh listen address (default 127.0.0.1:0)")
 		coordAddr  = fs.String("coordinator", "", "worker: the coordinator's control address")
-		poolSize   = fs.Int("workers", goruntime.GOMAXPROCS(0), "intra-processor worker-pool size: cores used per engine/worker process (results are bit-identical at any value; 1 = sequential)")
+		poolSize   = fs.Int("workers", goruntime.GOMAXPROCS(0), "intra-processor worker-pool size: goroutines per processor for IA and the mutation sweeps; RC steps use one per processor, so add cores to them with -p (results are bit-identical at any value)")
 		clusterW   = fs.Int("cluster-workers", 0, "coordinator: number of worker processes to admit before the analysis starts")
 		roundTO    = fs.Duration("round-timeout", 30*time.Second, "multi-process: exchange round timeout dictated to the worker mesh")
 		stepIv     = fs.Duration("step-interval", 0, "serve mode: idle this long between rc steps (throttles a live analysis)")

@@ -77,6 +77,18 @@ func TestCollectMailAllocsSteadyState(t *testing.T) {
 	}
 }
 
+// stepAllocs measures the allocations of one steady-state Step that re-sends
+// and re-relaxes a one-column delta on an engine with the given pool size.
+func stepAllocs(t *testing.T, workers int) float64 {
+	e, v := steadyStateEngineWorkers(t, workers)
+	pr := e.procs[e.Owner(v)]
+	cols := []int32{0}
+	return testing.AllocsPerRun(50, func() {
+		pr.noteRowChanged(e, v, cols, false)
+		e.Step()
+	})
+}
+
 // TestStepAllocsSteadyState pins the steady-state allocation count of a full
 // Engine.Step that re-sends and re-relaxes a one-column delta. The runtime's
 // phase plumbing (goroutine spawns in Parallel, the exchange) has a small
@@ -86,13 +98,7 @@ func TestStepAllocsSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc pins only hold without -race")
 	}
-	e, v := steadyStateEngine(t)
-	pr := e.procs[e.Owner(v)]
-	cols := []int32{0}
-	allocs := testing.AllocsPerRun(50, func() {
-		pr.noteRowChanged(e, v, cols, false)
-		e.Step()
-	})
+	allocs := stepAllocs(t, 1)
 	const budget = 60
 	if allocs > budget {
 		t.Errorf("steady-state Step allocates %.1f times per run, budget %d", allocs, budget)
@@ -100,27 +106,18 @@ func TestStepAllocsSteadyState(t *testing.T) {
 	t.Logf("steady-state Step: %.1f allocs/run (budget %d)", allocs, budget)
 }
 
-// TestStepAllocsSteadyStateWorkers is the worker-pool alloc pin: the sharded
-// data path itself (per-worker arenas, source snapshots, record merges) must
-// stay amortised to zero, so the only addition over the sequential budget is
-// the constant goroutine fan-out of runShards — P procs × (workers-1) spawns
-// plus a closure each per relax. Nothing may scale with rows or width.
+// TestStepAllocsSteadyStateWorkers is the worker-pool alloc pin: an RC step
+// shards nothing (relax runs in place on the processor's goroutine), so a
+// steady-state Step allocates exactly as often with four workers as with one.
 func TestStepAllocsSteadyStateWorkers(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc pins only hold without -race")
 	}
-	e, v := steadyStateEngineWorkers(t, 4)
-	pr := e.procs[e.Owner(v)]
-	cols := []int32{0}
-	allocs := testing.AllocsPerRun(50, func() {
-		pr.noteRowChanged(e, v, cols, false)
-		e.Step()
-	})
-	const budget = 60 + 4*3*3 // sequential budget + P × (workers-1) spawns × ~3 allocs each
-	if allocs > budget {
-		t.Errorf("steady-state Step (workers=4) allocates %.1f times per run, budget %d", allocs, budget)
+	one, four := stepAllocs(t, 1), stepAllocs(t, 4)
+	if four != one {
+		t.Errorf("steady-state Step allocates %.1f times per run with 4 workers, %.1f with 1", four, one)
 	}
-	t.Logf("steady-state Step (workers=4): %.1f allocs/run (budget %d)", allocs, budget)
+	t.Logf("steady-state Step: %.1f allocs/run at workers=1 and 4", one)
 }
 
 // TestCollectMailAllocsSteadyStateWorkers pins collectMail under the pool:

@@ -85,17 +85,16 @@ type Options struct {
 	// internal/obs for the overhead rules).
 	Obs *obs.Registry
 	// Workers sets the intra-processor worker-pool size: the per-vertex
-	// loops (IA Dijkstra, the install/relax scans, the edge-addition sweep,
-	// the reseed sweeps of deletions, vertex additions, repartitioning and
-	// failure recovery) are sharded across this many goroutines per
-	// processor, each with its own scratch/heap arena. Default 1: the one
-	// shard runs inline on the processor's goroutine; the CLI defaults to
-	// runtime.GOMAXPROCS. Every pool size runs the same kernels, except that
-	// relax updates rows in place with one worker and against frozen sources
-	// with more. Shard assignment and merge order are fixed, so results are
-	// deterministic at any worker count and bit-identical across worker
-	// counts at every convergence point (see DESIGN.md §6, "Worker-pool
-	// mode").
+	// loops that are independent per row (IA Dijkstra, the edge-addition
+	// sweep, the deletion invalidations and the reseed sweeps of deletions,
+	// vertex additions, repartitioning and failure recovery) are sharded
+	// across this many goroutines per processor, each with its own
+	// scratch/heap arena. Default 1: the one shard runs inline on the
+	// processor's goroutine; the CLI defaults to runtime.GOMAXPROCS. The RC
+	// relax runs in place on the processor's goroutine at every pool size.
+	// Shard assignment and merge order are fixed, so every RC step and
+	// mutation leaves bit-identical distances at every worker count (see
+	// DESIGN.md §6, "Worker-pool mode").
 	Workers int
 	// EagerLocalRefresh enables the paper's optional recombination
 	// strategy of refreshing all local DVs against each other every RC
@@ -159,17 +158,7 @@ type Engine struct {
 	mailMat     [][]*cluster.Mail
 	rowsSentBuf []int
 	changedBuf  []int
-	// strategies are the per-processor recombination strategies run in the
-	// strategies phase of every Step (the paper's "line 17" hook). Today
-	// the eager-local-refresh ablation registers here; future strategies
-	// join the same pipeline.
-	strategies []stepStrategy
 }
-
-// stepStrategy is one per-processor recombination strategy invoked during
-// the strategies phase of each RC step; it returns how many local rows it
-// changed.
-type stepStrategy func(e *Engine, pr *proc) int
 
 // proc is the per-processor state: the local DV rows, snapshots of external
 // boundary rows, and the dirty bookkeeping that drives delta propagation.
@@ -234,10 +223,6 @@ type proc struct {
 	// per pool worker: the Dijkstra heap and distance row plus the shard's
 	// change records. Sized by ensureWorkers, amortised across calls.
 	ws []workerScratch
-	// snapRows are pooled full-row value snapshots of local sources taken
-	// for a frozen-source relax (shard workers must not read a row another
-	// worker writes); recycled into rowPool at the end of each relax.
-	snapRows [][]int32
 }
 
 // extPending records how a held snapshot changed since the last relax.
@@ -360,9 +345,8 @@ func New(g *graph.Graph, opts Options) (*Engine, error) {
 }
 
 // newEngine is the one engine constructor: it resolves the option defaults,
-// builds the execution runtime and wires the observability sinks and the
-// strategies pipeline. New follows it with DD and IA, LoadCheckpoint with the
-// checkpointed assignment and rows.
+// builds the execution runtime and wires the observability sinks. New follows
+// it with DD and IA, LoadCheckpoint with the checkpointed assignment and rows.
 func newEngine(g *graph.Graph, opts Options) (*Engine, error) {
 	opts = opts.withDefaults()
 	if opts.P < 1 || opts.P > 64 {
@@ -389,18 +373,7 @@ func newEngine(g *graph.Graph, opts Options) (*Engine, error) {
 			ob.SetObs(opts.Obs)
 		}
 	}
-	e.installStrategies()
 	return e, nil
-}
-
-// installStrategies populates the strategies-phase pipeline from the
-// options.
-func (e *Engine) installStrategies() {
-	if e.opts.EagerLocalRefresh {
-		e.strategies = append(e.strategies, func(e *Engine, pr *proc) int {
-			return pr.eagerLocalRefresh(e)
-		})
-	}
 }
 
 // Runtime returns the execution runtime this engine programs against.
@@ -693,9 +666,43 @@ func (e *Engine) collectPhase() (mail [][]*cluster.Mail, rowsSent []int) {
 
 // exchangePhase carries the personalised all-to-all over the execution
 // runtime, returning the received mail indexed [dst][src]. A non-nil error
-// means the round was not delivered and no mail may be installed.
+// means the round was not delivered, or delivered a message this engine
+// cannot install, and no mail may be installed.
 func (e *Engine) exchangePhase(mail [][]*cluster.Mail) ([][]*cluster.Mail, error) {
-	return e.rt.Exchange(mail)
+	in, err := e.rt.Exchange(mail)
+	if err == nil {
+		err = e.checkMail(in)
+	}
+	return in, err
+}
+
+// checkMail rejects received mail that installAndRelax could not apply in
+// bounds: a payload of another type, a row ID or delta column outside the
+// engine's ID space, or a full row longer than it. Frames from another
+// process arrive decoded but unchecked against this engine's width.
+func (e *Engine) checkMail(in [][]*cluster.Mail) error {
+	for dst, row := range in {
+		for src, m := range row {
+			if m == nil {
+				continue
+			}
+			msg, ok := m.Payload.(*boundaryMsg)
+			if !ok {
+				return fmt.Errorf("core: mail %d->%d has payload type %T", src, dst, m.Payload)
+			}
+			for i, v := range msg.ids {
+				if v < 0 || int(v) >= e.width || len(msg.full[i]) > e.width {
+					return fmt.Errorf("core: mail %d->%d: row %d (%d entries) does not fit the ID space [0,%d)", src, dst, v, len(msg.full[i]), e.width)
+				}
+				for _, c := range msg.cols[i] {
+					if c < 0 || int(c) >= e.width {
+						return fmt.Errorf("core: mail %d->%d: delta for row %d names column %d outside [0,%d)", src, dst, v, c, e.width)
+					}
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // installRelaxPhase installs the received boundary updates on every
@@ -709,17 +716,15 @@ func (e *Engine) installRelaxPhase(in [][]*cluster.Mail) []int {
 	return changed
 }
 
-// strategiesPhase runs the registered per-processor recombination
-// strategies (e.g. the eager-local-refresh ablation), accumulating their
-// changed-row counts into changed.
+// strategiesPhase runs the per-processor recombination strategy (the
+// eager-local-refresh ablation, when enabled), accumulating its changed-row
+// counts into changed.
 func (e *Engine) strategiesPhase(changed []int) {
-	if len(e.strategies) == 0 {
+	if !e.opts.EagerLocalRefresh {
 		return
 	}
 	e.rt.Parallel(func(i int) {
-		for _, s := range e.strategies {
-			changed[i] += s(e, e.procs[i])
-		}
+		changed[i] += e.procs[i].eagerLocalRefresh(e)
 	})
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -144,4 +145,88 @@ func TestOutageDuringDynamicChanges(t *testing.T) {
 	fr.fail.Store(false)
 	mustRun(t, e)
 	checkExact(t, e)
+}
+
+// hostileRuntime wraps the in-process runtime and, while frame is set, adds
+// the decoded frame to every round as mail from processor 1 to processor 0:
+// a peer process whose frames decode cleanly but do not fit this engine.
+type hostileRuntime struct {
+	runtime.Runtime
+	frame []byte
+}
+
+func (h *hostileRuntime) Exchange(out [][]*cluster.Mail) ([][]*cluster.Mail, error) {
+	in, err := h.Runtime.Exchange(out)
+	if err != nil || h.frame == nil {
+		return in, err
+	}
+	msg, err := (WireCodec{}).Decode(h.frame)
+	if err != nil {
+		return nil, err
+	}
+	in[0][1] = &cluster.Mail{Payload: msg, Bytes: len(h.frame)}
+	return in, nil
+}
+
+// TestStepRejectsOutOfRangeMail: a received row ID, delta column or full-row
+// length outside the engine's ID space fails the step with ErrExchange and
+// leaves the state unchanged, instead of panicking in the install.
+func TestStepRejectsOutOfRangeMail(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		msg  func(width int) *boundaryMsg
+	}{
+		{"delta-column", func(width int) *boundaryMsg {
+			m := &boundaryMsg{}
+			m.add(1, nil, []int32{int32(width)}, []int32{1})
+			return m
+		}},
+		{"delta-row", func(width int) *boundaryMsg {
+			m := &boundaryMsg{}
+			m.add(graph.ID(width), nil, []int32{0}, []int32{1})
+			return m
+		}},
+		{"full-row-length", func(width int) *boundaryMsg {
+			m := &boundaryMsg{}
+			m.add(1, make([]int32, width+1), nil, nil)
+			return m
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var hr *hostileRuntime
+			e, err := New(gen.Grid(6, 10, gen.Config{MaxWeight: 3}), Options{
+				P:    4,
+				Seed: 7,
+				RuntimeFactory: func(p int, model logp.Params) (runtime.Runtime, error) {
+					hr = &hostileRuntime{Runtime: runtime.NewSim(p, model)}
+					return hr, nil
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			if _, err := e.Step(); err != nil {
+				t.Fatal(err)
+			}
+			before, stepBefore := e.Distances(), e.StepCount()
+			frame, err := (WireCodec{}).Encode(tc.msg(e.width))
+			if err != nil {
+				t.Fatal(err)
+			}
+			hr.frame = frame
+			if _, err := e.Step(); !errors.Is(err, ErrExchange) {
+				t.Fatalf("step error = %v, want ErrExchange", err)
+			}
+			if e.StepCount() != stepBefore {
+				t.Fatalf("rejected step advanced the count: %d -> %d", stepBefore, e.StepCount())
+			}
+			if !reflect.DeepEqual(e.Distances(), before) {
+				t.Fatal("rejected step changed the distances")
+			}
+			hr.frame = nil
+			mustRun(t, e)
+			checkExact(t, e)
+		})
+	}
 }

@@ -29,10 +29,10 @@ type engineObs struct {
 	workers   *obs.Gauge
 
 	// Per-phase shard-imbalance histograms (max/mean shard wall-clock
-	// ratio), observed by runShards when Workers > 1.
-	imbIA      *obs.Histogram
-	imbInstall *obs.Histogram
-	imbReseed  *obs.Histogram
+	// ratio), observed by runShards when Workers > 1: IA, and every
+	// mutation-time sweep (edge additions, invalidations, reseeds).
+	imbIA     *obs.Histogram
+	imbReseed *obs.Histogram
 }
 
 // shardImbalanceBuckets is the bucket layout of aacc_engine_shard_imbalance:
@@ -68,9 +68,8 @@ func newEngineObs(reg *obs.Registry) *engineObs {
 		converged: reg.Gauge("aacc_engine_converged", "1 once the analysis reached its fixpoint, else 0."),
 		workers:   reg.Gauge("aacc_engine_workers", "Configured intra-processor worker-pool size (Options.Workers)."),
 
-		imbIA:      imb("ia"),
-		imbInstall: imb("install_relax"),
-		imbReseed:  imb("reseed"),
+		imbIA:     imb("ia"),
+		imbReseed: imb("reseed"),
 	}
 }
 
@@ -82,13 +81,6 @@ func (e *Engine) shardImbIA() *obs.Histogram {
 		return nil
 	}
 	return e.om.imbIA
-}
-
-func (e *Engine) shardImbInstall() *obs.Histogram {
-	if e.om == nil {
-		return nil
-	}
-	return e.om.imbInstall
 }
 
 func (e *Engine) shardImbReseed() *obs.Histogram {

@@ -73,7 +73,8 @@ func TestEngineObsInstrumentation(t *testing.T) {
 // TestEngineObsWorkerPool checks the worker-pool instruments: the workers
 // gauge reports the configured pool size and the per-phase shard-imbalance
 // histograms record one ratio >= 1 per sharded fan-out (IA at construction,
-// install_relax once per relax with sources).
+// reseed once per mutation-time sweep). Relax is not sharded, so no
+// install_relax imbalance series exists.
 func TestEngineObsWorkerPool(t *testing.T) {
 	reg := obs.NewRegistry()
 	g := gen.BarabasiAlbert(150, 2, 7, gen.Config{})
@@ -92,22 +93,28 @@ func TestEngineObsWorkerPool(t *testing.T) {
 	if ia.Count() == 0 {
 		t.Error("ia shard-imbalance histogram saw no observations")
 	}
-	install := reg.Histogram("aacc_engine_shard_imbalance", "", nil, obs.L("phase", "install_relax"))
-	if install.Count() == 0 {
-		t.Error("install_relax shard-imbalance histogram saw no observations")
+	// An edge addition drives the mutation-time sweep, which records under
+	// the reseed label.
+	reseed := reg.Histogram("aacc_engine_shard_imbalance", "", nil, obs.L("phase", "reseed"))
+	if reseed.Count() != 0 {
+		t.Fatalf("reseed shard-imbalance histogram has %d observations before any mutation", reseed.Count())
 	}
-	// Deletions drive the reseed fan-out.
-	var ed [2]graph.ID
-	for _, tr := range e.Graph().Edges() {
-		ed = [2]graph.ID{tr.U, tr.V}
-		break
+	if _, ok := e.Graph().Weight(0, 140); ok {
+		t.Fatal("test edge {0,140} already exists")
 	}
-	if err := e.applyEdgeDeletions([][2]graph.ID{ed}); err != nil {
+	if err := e.applyEdgeAdditions([]graph.EdgeTriple{{U: 0, V: 140, W: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	reseed := reg.Histogram("aacc_engine_shard_imbalance", "", nil, obs.L("phase", "reseed"))
-	if reseed.Count() == 0 {
-		t.Error("reseed shard-imbalance histogram saw no observations")
+	added := reseed.Count()
+	if added == 0 {
+		t.Error("edge addition recorded no reseed shard-imbalance observation")
+	}
+	// Deletions drive the invalidation and reseed fan-outs.
+	if err := e.applyEdgeDeletions([][2]graph.ID{{0, 140}}); err != nil {
+		t.Fatal(err)
+	}
+	if reseed.Count() == added {
+		t.Error("edge deletion recorded no reseed shard-imbalance observation")
 	}
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
@@ -116,6 +123,11 @@ func TestEngineObsWorkerPool(t *testing.T) {
 	for _, fam := range []string{"aacc_engine_workers", "aacc_engine_shard_imbalance_bucket"} {
 		if !strings.Contains(sb.String(), fam) {
 			t.Errorf("exposition missing %s", fam)
+		}
+	}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if strings.HasPrefix(line, "aacc_engine_shard_imbalance") && strings.Contains(line, `phase="install_relax"`) {
+			t.Errorf("exposition has an install_relax shard-imbalance series: %s", line)
 		}
 	}
 }

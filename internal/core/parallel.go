@@ -11,16 +11,18 @@ import (
 	"aacc/internal/sssp"
 )
 
-// This file is the intra-processor worker pool. Every per-row kernel of the
-// engine — IA Dijkstra, the edge-addition sweep, the reseed sweeps of
-// deletions, vertex additions, repartitioning and failure recovery — is
-// written once, as a runShards loop over the processor's rows, and runs at
-// every pool size: with Options.Workers == 1 runShards calls the one shard
-// inline on the processor's goroutine, with more it fans the shards out. The
-// cluster runtime already spreads the P processors across host goroutines;
-// this layer multiplies that by Workers within each one, the paper's
-// "multithreaded Dijkstra" applied to every kernel. The one job with two
-// kernels is relax (relax.go), which picks by pool size.
+// This file is the intra-processor worker pool. Every kernel of the engine
+// that is independent per row — IA Dijkstra, the edge-addition sweep, both
+// deletion invalidations and the reseed sweeps of deletions, vertex
+// additions, repartitioning and failure recovery — is written once, as a
+// runShards loop over the processor's rows, and runs at every pool size: with
+// Options.Workers == 1 runShards calls the one shard inline on the
+// processor's goroutine, with more it fans the shards out. The cluster
+// runtime already spreads the P processors across host goroutines; this layer
+// multiplies that by Workers within each one, the paper's "multithreaded
+// Dijkstra". The RC relax (relax.go) is not sharded: it runs in place on the
+// processor's goroutine, reading rows other rows of the same pass wrote, so
+// its parallelism comes from the P processors.
 //
 // Determinism rules (DESIGN.md §6, "Worker-pool mode"):
 //

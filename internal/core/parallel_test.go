@@ -13,10 +13,10 @@ import (
 // invalidations, a weight change, vertex additions, repartitioning and a
 // processor failure, i.e. every code path that shards across the pool —
 // must produce bit-identical Distances and Scores at every convergence
-// checkpoint for any worker count. Converged distances are the exact
-// shortest paths, so the one-worker (Gauss–Seidel, in-place) and pooled
-// (Jacobi, frozen-source) relax orders meet at the same fixpoint; see
-// DESIGN.md §6.
+// checkpoint for any worker count. Relax runs in place on the processor's
+// goroutine at every pool size and the sharded kernels write only their own
+// rows, so converged distances are the exact shortest paths at every worker
+// count; see DESIGN.md §6.
 
 // parallelWorkload drives one engine through the full dynamic workload,
 // converging after every mutation and recording a distance snapshot at each
@@ -81,8 +81,7 @@ func parallelWorkload(t *testing.T, workers int) []map[graph.ID][]int32 {
 	snap()
 
 	// Deletions on partially-converged state (row wipe): mutate, step twice
-	// (not to convergence), then delete. The two relax kernels may differ
-	// mid-run, so only the converged state is compared here.
+	// (not to convergence), then delete; the converged state is compared.
 	if err := e.applyEdgeAdditions([]graph.EdgeTriple{{U: 5, V: 180, W: 2}, {U: 12, V: 150, W: 1}}); err != nil {
 		t.Fatal(err)
 	}
@@ -177,14 +176,14 @@ func TestParallelScoresMatchSequential(t *testing.T) {
 }
 
 // TestParallelStepIdenticalAcrossWorkerCounts pins the stronger per-step
-// property of the pool mode: the frozen-source relax depends only on each
-// row's prior state and the gathered source notes, never on the shard
-// layout, so every worker count > 1 produces bit-identical distances after
+// property of the pool mode: relax is one in-place kernel at every pool size,
+// so every worker count, 1 included, produces bit-identical distances after
 // every single step (not just at convergence).
 func TestParallelStepIdenticalAcrossWorkerCounts(t *testing.T) {
 	g := gen.BarabasiAlbert(160, 2, 9, gen.Config{MaxWeight: 4})
-	engines := make([]*Engine, 0, 3)
-	for _, w := range []int{2, 4, 7} {
+	workers := []int{1, 2, 4, 7}
+	engines := make([]*Engine, 0, len(workers))
+	for _, w := range workers {
 		e, err := New(g.Clone(), Options{P: 5, Seed: 3, Workers: w})
 		if err != nil {
 			t.Fatal(err)
@@ -204,8 +203,8 @@ func TestParallelStepIdenticalAcrossWorkerCounts(t *testing.T) {
 				grow := got[v]
 				for c := range wrow {
 					if grow[c] != wrow[c] {
-						t.Fatalf("step %d: workers=%d vs workers=2: d(%d,%d) = %d, want %d",
-							step+1, []int{4, 7}[i], v, c, grow[c], wrow[c])
+						t.Fatalf("step %d: workers=%d vs workers=1: d(%d,%d) = %d, want %d",
+							step+1, workers[i+1], v, c, grow[c], wrow[c])
 					}
 				}
 			}

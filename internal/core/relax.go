@@ -148,94 +148,21 @@ type relaxSource struct {
 	id   graph.ID
 	row  []int32
 	cols []int32
-	// vals, when non-nil, is a value snapshot of the cols entries taken
-	// when the source list was gathered: the frozen-source relax scans read
-	// (cols, vals) instead of the live row, so shard workers rewriting
-	// local rows can never race a scan (see gatherSources).
-	vals []int32
 }
 
 // relax performs the recombination update on one processor and returns the
-// number of local rows that changed. It is the one job with two kernels,
-// selected by pool size. One worker has no concurrent writer, so it relaxes
-// in place (Gauss–Seidel) and needs no source snapshots; a wider pool relaxes
-// against frozen sources (Jacobi, relaxFrozen), whose full-row snapshots cost
-// memory a single worker has no use for (DESIGN.md §6 has the measurement).
-// Both are monotone min-plus iterations over the same source notes, so they
-// reach the same exact fixpoint; the frozen pass may propagate an improvement
-// one step later.
+// number of local rows that changed. It runs in place (Gauss–Seidel) on the
+// processor's goroutine at every pool size: the rows read live sources, so a
+// row relaxed earlier in the pass already feeds the rows after it, and the
+// result of every step is the same whatever Options.Workers is (DESIGN.md §6).
 func (pr *proc) relax(e *Engine) int {
-	if e.workers > 1 {
-		return pr.relaxFrozen(e)
-	}
-	sources := pr.gatherSources(false)
+	sources := pr.gatherSources()
 	if len(sources) == 0 && len(pr.pendingRescan) == 0 {
 		return 0
 	}
-	changed := 0
-	for _, x := range pr.local {
-		cols := pr.relaxRowSources(x, sources)
-		if len(cols) > 0 {
-			changed++
-			pr.noteRowChanged(e, x, cols, false)
-		}
-	}
+	changed := pr.relaxRows(e, sources)
 	clear(pr.pendingRescan)
 	return changed
-}
-
-// relaxFrozen is relax for a pool of several workers: phase A shards the
-// source scans over the pool against a frozen source list, phase B runs the
-// DVR rescan cascade and the dirty bookkeeping sequentially in ascending row
-// order. The phases split exactly here because the scans only write their own
-// row, while the cascade reads live local rows and the bookkeeping mutates
-// shared sets. The result depends only on each row's prior state and the
-// gathered source notes, never on the shard layout, so every pool size > 1
-// agrees after every single step.
-func (pr *proc) relaxFrozen(e *Engine) int {
-	sources := pr.gatherSources(true)
-	if len(sources) == 0 && len(pr.pendingRescan) == 0 {
-		return 0 // no sources, so no snapshots to release
-	}
-	pr.ensureWorkers(e)
-	e.runShards(len(pr.local), e.shardImbInstall(), func(w, lo, hi int) {
-		ws := &pr.ws[w]
-		for _, x := range pr.local[lo:hi] {
-			changed := dedupCols(scanSources(x, pr.store.Row(x), sources, ws.changed[:0]))
-			ws.changed = changed
-			// pendingRescan is read-only during the fan-out (mutation paths
-			// populated it before the step); rows with queued rescans join
-			// the cascade even when the scans changed nothing.
-			if len(changed) == 0 && pr.pendingRescan[x] == nil {
-				continue
-			}
-			ws.record(x, changed)
-		}
-	})
-	pr.releaseSnapshots()
-	changedRows := 0
-	pr.forEachRecord(func(x graph.ID, cols []int32) {
-		changed := append(pr.changedBuf[:0], cols...)
-		changed = pr.cascadeRescans(x, pr.store.Row(x), changed)
-		changed = dedupCols(changed)
-		pr.changedBuf = changed
-		if len(changed) > 0 {
-			changedRows++
-			pr.noteRowChanged(e, x, changed, false)
-		}
-	})
-	clear(pr.pendingRescan)
-	return changedRows
-}
-
-// releaseSnapshots recycles the full-row source snapshots taken by
-// gatherSources(true) back into the row pool.
-func (pr *proc) releaseSnapshots() {
-	for i, r := range pr.snapRows {
-		pr.recycleRow(r)
-		pr.snapRows[i] = nil
-	}
-	pr.snapRows = pr.snapRows[:0]
 }
 
 // arenaCopy appends cols to the arena and returns the stable view of the
@@ -253,13 +180,7 @@ func arenaCopy(arena *[]int32, cols []int32) []int32 {
 // list, the ID buffer and the column arena — is per-proc and reused across
 // steps; changed-column lists are copied into the arena so the pending
 // accumulators can be recycled immediately.
-//
-// With freeze set (the frozen-source relax) local sources are value-
-// snapshotted — delta sources get a (cols, vals) copy in the arena, full
-// sources a pooled whole-row copy released by releaseSnapshots — because shard
-// workers will concurrently rewrite the live local rows they'd otherwise
-// scan. External snapshots stay live: nothing writes them during relax.
-func (pr *proc) gatherSources(freeze bool) []relaxSource {
+func (pr *proc) gatherSources() []relaxSource {
 	n := len(pr.extPending) + pr.dirtySrc.Len()
 	if n == 0 {
 		return nil
@@ -289,19 +210,8 @@ func (pr *proc) gatherSources(freeze bool) []relaxSource {
 	for _, id := range pr.dirtySrc.Sorted() {
 		st := pr.state(id)
 		src := relaxSource{id: id, row: pr.store.Row(id)}
-		switch {
-		case !st.srcFull:
+		if !st.srcFull {
 			src.cols = arenaCopy(&pr.srcArena, st.srcCols.Sorted())
-			if freeze {
-				a := len(pr.srcArena)
-				for _, c := range src.cols {
-					pr.srcArena = append(pr.srcArena, src.row[c])
-				}
-				src.vals = pr.srcArena[a:len(pr.srcArena):len(pr.srcArena)]
-			}
-		case freeze:
-			src.row = pr.newRowCopy(src.row)
-			pr.snapRows = append(pr.snapRows, src.row)
 		}
 		st.srcCols.Reset()
 		st.srcFull = false
@@ -312,9 +222,32 @@ func (pr *proc) gatherSources(freeze bool) []relaxSource {
 	return sources
 }
 
-// scanSources relaxes row (of local vertex x) once through every source,
-// appending the changed columns.
-func scanSources(x graph.ID, row []int32, sources []relaxSource, changed []int32) []int32 {
+// relaxRows relaxes every local row through the given sources in ascending
+// order, noting the rows that changed, and returns how many changed.
+func (pr *proc) relaxRows(e *Engine, sources []relaxSource) int {
+	changed := 0
+	for _, x := range pr.local {
+		if cols := pr.relaxRowSources(x, sources); len(cols) > 0 {
+			changed++
+			pr.noteRowChanged(e, x, cols, false)
+		}
+	}
+	return changed
+}
+
+// relaxRowSources relaxes one local row once through every source, then
+// applies the DVR rescan rule until stable: any column of x naming a held
+// source that decreased (now, or queued by an earlier mutation) triggers a
+// full scan through that source. lastScan records d(x,s) at the time source s
+// was last fully scanned for this row; a further decrease requires another
+// scan (improvements through s now compose with the shorter d(x,s)). Each
+// round only the *newly* decreased columns seed the next, so the cascade
+// terminates with the row closed under every held source. Returns the
+// deduplicated changed columns, valid until the next call (shared per-proc
+// scratch).
+func (pr *proc) relaxRowSources(x graph.ID, sources []relaxSource) []int32 {
+	row := pr.store.Row(x)
+	changed := pr.changedBuf[:0]
 	for _, s := range sources {
 		if s.id == x {
 			continue
@@ -323,42 +256,12 @@ func scanSources(x graph.ID, row []int32, sources []relaxSource, changed []int32
 		if d >= dv.Inf {
 			continue
 		}
-		switch {
-		case s.cols == nil:
+		if s.cols == nil {
 			changed = dv.ScanFull(row, d, s.row, changed)
-		case s.vals != nil:
-			changed = dv.ScanColVals(row, d, s.cols, s.vals, changed)
-		default:
+		} else {
 			changed = dv.ScanCols(row, d, s.row, s.cols, changed)
 		}
 	}
-	return changed
-}
-
-// relaxRowSources relaxes one local row through the given sources, then
-// cascades the DVR rescan rule until stable: any column of x naming a held
-// source that decreased (now, or queued by an earlier mutation) triggers a
-// full scan through that source. Returns the deduplicated changed columns,
-// valid until the next call (shared per-proc scratch).
-func (pr *proc) relaxRowSources(x graph.ID, sources []relaxSource) []int32 {
-	row := pr.store.Row(x)
-	changed := scanSources(x, row, sources, pr.changedBuf[:0])
-	changed = pr.cascadeRescans(x, row, changed)
-	changed = dedupCols(changed)
-	pr.changedBuf = changed
-	return changed
-}
-
-// cascadeRescans applies the DVR rescan rule to one row until stable.
-// lastScan records d(x,s) at the time source s was last fully scanned for
-// this row; a further decrease requires another scan (improvements through s
-// now compose with the shorter d(x,s)). The queue is seeded from earlier
-// mutations' pending rescans plus the changed held-source columns, and each
-// round only the *newly* decreased columns seed the next, so the cascade
-// terminates with the row closed under every held source. It reads live
-// source rows and must therefore run sequentially — the frozen-source relax
-// calls it per row in ascending order after the sharded scan barrier.
-func (pr *proc) cascadeRescans(x graph.ID, row []int32, changed []int32) []int32 {
 	queue := pr.rescanBuf[:0]
 	if set := pr.pendingRescan[x]; len(set) > 0 {
 		for s := range set {
@@ -400,6 +303,8 @@ func (pr *proc) cascadeRescans(x graph.ID, row []int32, changed []int32) []int32
 		}
 	}
 	pr.rescanBuf = queue[:0]
+	changed = dedupCols(changed)
+	pr.changedBuf = changed
 	return changed
 }
 
@@ -414,14 +319,7 @@ func (pr *proc) eagerLocalRefresh(e *Engine) int {
 	for _, s := range pr.local {
 		sources = append(sources, relaxSource{id: s, row: pr.store.Row(s)})
 	}
-	changed := 0
-	for _, x := range pr.local {
-		if cols := pr.relaxRowSources(x, sources); len(cols) > 0 {
-			changed++
-			pr.noteRowChanged(e, x, cols, false)
-		}
-	}
-	return changed
+	return pr.relaxRows(e, sources)
 }
 
 // relaxThroughEdges relaxes every local row through a batch of new edges,
@@ -437,7 +335,7 @@ func (pr *proc) eagerLocalRefresh(e *Engine) int {
 // for the ordered merge.
 func (pr *proc) relaxThroughEdges(e *Engine, edges []graph.EdgeTriple, endRows map[graph.ID][]int32) {
 	pr.ensureWorkers(e)
-	e.runShards(len(pr.local), e.shardImbInstall(), func(w, lo, hi int) {
+	e.runShards(len(pr.local), e.shardImbReseed(), func(w, lo, hi int) {
 		ws := &pr.ws[w]
 		for _, x := range pr.local[lo:hi] {
 			row := pr.store.Row(x)

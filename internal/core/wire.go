@@ -18,6 +18,10 @@ import (
 //	per row: i32 id, u8 kind
 //	  kind 0 (full):  u32 n, n × i32 distances
 //	  kind 1 (delta): u32 k, k × i32 columns, k × i32 values
+//
+// Row IDs, columns and distances are never negative, so Decode rejects a
+// negative one; the engine checks the rest against its own ID space
+// (Engine.checkMail).
 
 // WireCodec encodes and decodes the engine's exchange payloads. It
 // implements cluster.WireCodec.
@@ -79,6 +83,9 @@ func (WireCodec) Decode(frame []byte) (any, error) {
 		id, err := r.u32()
 		if err != nil {
 			return nil, err
+		}
+		if int32(id) < 0 {
+			return nil, fmt.Errorf("core: wire frame has negative row id %d", int32(id))
 		}
 		kind, err := r.u8()
 		if err != nil {
@@ -148,7 +155,9 @@ func (r *wireReader) i32s(n int) ([]int32, error) {
 	}
 	out := make([]int32, n)
 	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(r.buf[r.off:]))
+		if out[i] = int32(binary.LittleEndian.Uint32(r.buf[r.off:])); out[i] < 0 {
+			return nil, fmt.Errorf("core: wire frame has negative entry %d", out[i])
+		}
 		r.off += 4
 	}
 	return out, nil

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -47,6 +49,9 @@ func TestWireCodecRejectsBadInput(t *testing.T) {
 		{1, 0, 0},                   // truncated count
 		{1, 0, 0, 0, 5, 0, 0, 0},    // row without kind
 		{1, 0, 0, 0, 5, 0, 0, 0, 9}, // unknown kind
+		{1, 0, 0, 0, 0xfb, 0xff, 0xff, 0xff, 0, 1, 0, 0, 0, 0, 0, 0, 0},             // full row with id -5
+		{1, 0, 0, 0, 1, 0, 0, 0, 1, 1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}, // delta column -1
+		{1, 0, 0, 0, 2, 0, 0, 0, 0, 1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff},             // distance -1
 	} {
 		if _, err := (WireCodec{}).Decode(bad); err == nil {
 			t.Fatalf("decoded garbage %v", bad)
@@ -188,4 +193,56 @@ func TestCloseWithoutWireIsNoOp(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzWireCodecDecode feeds arbitrary frames to the exchange decoder, the
+// first code a peer process's bytes reach: it must not panic, must hold no
+// more row data than the frame carried, must reject negative row IDs,
+// columns and distances, and every frame it accepts must re-encode to the
+// same bytes.
+func FuzzWireCodecDecode(f *testing.F) {
+	for _, msg := range []*boundaryMsg{
+		{},
+		{ids: []graph.ID{7}, full: [][]int32{{0, 5, dv.Inf}}, cols: [][]int32{nil}, vals: [][]int32{nil}},
+		{ids: []graph.ID{3}, full: [][]int32{nil}, cols: [][]int32{{1, 4}}, vals: [][]int32{{9, 2}}},
+		{ids: []graph.ID{-5}, full: [][]int32{{0}}, cols: [][]int32{nil}, vals: [][]int32{nil}},
+		{ids: []graph.ID{1}, full: [][]int32{nil}, cols: [][]int32{{-1}}, vals: [][]int32{{0}}},
+	} {
+		frame, err := (WireCodec{}).Encode(msg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+	}
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}) // a 4 G-entry row, no data
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		out, err := (WireCodec{}).Decode(frame)
+		if err != nil {
+			return
+		}
+		msg := out.(*boundaryMsg)
+		held := 0
+		for i, id := range msg.ids {
+			if id < 0 {
+				t.Fatalf("accepted negative row id %d", id)
+			}
+			for _, entries := range [][]int32{msg.full[i], msg.cols[i], msg.vals[i]} {
+				if slices.ContainsFunc(entries, func(x int32) bool { return x < 0 }) {
+					t.Fatalf("row %d: accepted a negative entry in %v", id, entries)
+				}
+			}
+			held += 4 * (cap(msg.full[i]) + cap(msg.cols[i]) + cap(msg.vals[i]))
+		}
+		if held > len(frame) {
+			t.Fatalf("holds %d bytes of rows from a %d-byte frame", held, len(frame))
+		}
+		again, err := (WireCodec{}).Encode(msg)
+		if err != nil {
+			t.Fatalf("re-encoding an accepted frame: %v", err)
+		}
+		if !bytes.Equal(again, frame) {
+			t.Fatalf("round trip changed the frame:\n%x\n%x", frame, again)
+		}
+	})
 }

@@ -109,33 +109,6 @@ func ScanCols(row []int32, d int32, srow []int32, cols []int32, changed []int32)
 	return changed
 }
 
-// ScanColVals relaxes row through a value snapshot of a source's changed
-// columns: vals[j] is the snapshot of srow[cols[j]] taken when the source
-// list was gathered. The parallel relax path uses it so shard workers can
-// scan a local source whose live row another worker is rewriting — the
-// result is identical to ScanCols over the snapshotted values. cols and vals
-// must have equal length.
-func ScanColVals(row []int32, d int32, cols, vals []int32, changed []int32) []int32 {
-	if d >= Inf {
-		return changed
-	}
-	limit := Inf - d
-	nr := len(row)
-	for j, t := range cols {
-		if int(t) >= nr {
-			continue
-		}
-		st := vals[j]
-		if st < limit {
-			if nd := d + st; nd < row[t] {
-				row[t] = nd
-				changed = append(changed, t)
-			}
-		}
-	}
-	return changed
-}
-
 // MergeMin folds src into dst entrywise (dst = min(dst, src)), appending the
 // changed columns to changed. Used to reuse partial results when re-running
 // local Dijkstra after deletions, failures or repartitioning.

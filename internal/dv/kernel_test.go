@@ -78,68 +78,6 @@ func TestScanColsMatchesFullOnListedColumns(t *testing.T) {
 	}
 }
 
-// TestScanColValsMatchesScanCols: relaxing through a value snapshot of the
-// listed columns must be indistinguishable from ScanCols over a source row
-// frozen at snapshot time — same final row, same changed list, even with
-// out-of-range columns and near-Inf values in the mix.
-func TestScanColValsMatchesScanCols(t *testing.T) {
-	rng := rand.New(rand.NewSource(424242))
-	for trial := 0; trial < 300; trial++ {
-		n := 1 + rng.Intn(60)
-		row := randRow(rng, n)
-		srow := randRow(rng, n)
-		var d int32
-		switch rng.Intn(3) {
-		case 0:
-			d = Inf - int32(rng.Intn(5))
-		default:
-			d = int32(rng.Intn(2000))
-		}
-		cols := make([]int32, rng.Intn(25))
-		vals := make([]int32, len(cols))
-		for i := range cols {
-			cols[i] = int32(rng.Intn(n + 10)) // includes out-of-range columns
-			if int(cols[i]) < n {
-				vals[i] = srow[cols[i]]
-			} else {
-				vals[i] = int32(rng.Intn(1000)) // must be ignored either way
-			}
-		}
-		rowRef := slices.Clone(row)
-		gotCh := ScanColVals(row, d, cols, vals, nil)
-		refCh := ScanCols(rowRef, d, srow, cols, nil)
-		if !slices.Equal(row, rowRef) {
-			t.Fatalf("trial %d: rows diverge (n=%d d=%d cols=%v)", trial, n, d, cols)
-		}
-		if !slices.Equal(gotCh, refCh) {
-			t.Fatalf("trial %d: changed %v != %v", trial, gotCh, refCh)
-		}
-	}
-}
-
-// TestScanColValsSnapshotIsolation pins the property the parallel relax
-// depends on: after the snapshot is taken, mutating the live source row must
-// not affect the scan result.
-func TestScanColValsSnapshotIsolation(t *testing.T) {
-	srow := []int32{3, 8, 1, Inf, 6}
-	cols := []int32{0, 2, 4}
-	vals := make([]int32, len(cols))
-	for j, c := range cols {
-		vals[j] = srow[c]
-	}
-	for i := range srow {
-		srow[i] = 0 // concurrent writer rewrites the live row
-	}
-	row := []int32{10, 10, 10, 10, 10}
-	ch := ScanColVals(row, 2, cols, vals, nil)
-	if !slices.Equal(row, []int32{5, 10, 3, 10, 8}) {
-		t.Fatalf("row = %v, want snapshot-based [5 10 3 10 8]", row)
-	}
-	if !slices.Equal(ch, []int32{0, 2, 4}) {
-		t.Fatalf("changed = %v", ch)
-	}
-}
-
 func TestMergeMin(t *testing.T) {
 	dst := []int32{5, 3, Inf, 7}
 	src := []int32{4, 3, 2, 9, 1} // longer than dst: extra entries ignored
