@@ -59,11 +59,12 @@ type Stats struct {
 func (s Stats) SimTotal() time.Duration { return s.SimCompute + s.SimComm }
 
 // Merge folds another participant's accounting of the *same* analysis into
-// s, as a multi-process coordinator does with per-worker stats. Traffic and
-// communication time add — each worker accounts only the messages it sent
-// itself. Round counts and modelled parallel compute take the maximum —
-// every worker participates in the same global rounds, and the parallel time
-// of a section is its slowest participant, not the sum.
+// s, as a multi-process coordinator does with per-worker stats. Traffic,
+// communication time and broadcasts add — each worker accounts only the
+// messages it sent itself and the broadcasts rooted at its own processors.
+// Exchange rounds and modelled parallel compute take the maximum — every
+// worker participates in the same global rounds, and the parallel time of a
+// section is its slowest participant, not the sum.
 func (s Stats) Merge(o Stats) Stats {
 	if o.SimCompute > s.SimCompute {
 		s.SimCompute = o.SimCompute
@@ -74,9 +75,7 @@ func (s Stats) Merge(o Stats) Stats {
 	if o.ExchangeRounds > s.ExchangeRounds {
 		s.ExchangeRounds = o.ExchangeRounds
 	}
-	if o.Broadcasts > s.Broadcasts {
-		s.Broadcasts = o.Broadcasts
-	}
+	s.Broadcasts += o.Broadcasts
 	return s
 }
 

@@ -19,7 +19,7 @@ func TestExtPendingNoteDedup(t *testing.T) {
 	if p.full {
 		t.Fatal("repeated notes for a single column tripped the full-row threshold")
 	}
-	if got := p.cols.Sorted(); len(got) != 1 || got[0] != 7 {
+	if got := p.cols.AppendSorted(nil); len(got) != 1 || got[0] != 7 {
 		t.Fatalf("flattened columns = %v, want [7]", got)
 	}
 	// Distinct columns past the threshold must still trip it.
@@ -69,7 +69,7 @@ func TestCollectMailAllocsSteadyState(t *testing.T) {
 	pr := e.procs[e.Owner(v)]
 	cols := []int32{0}
 	allocs := testing.AllocsPerRun(50, func() {
-		pr.noteRowChanged(e, v, cols, false)
+		pr.noteRowChanged(e, v, cols)
 		pr.collectMail(e)
 	})
 	if allocs > 0 {
@@ -84,7 +84,7 @@ func stepAllocs(t *testing.T, workers int) float64 {
 	pr := e.procs[e.Owner(v)]
 	cols := []int32{0}
 	return testing.AllocsPerRun(50, func() {
-		pr.noteRowChanged(e, v, cols, false)
+		pr.noteRowChanged(e, v, cols)
 		e.Step()
 	})
 }
@@ -130,7 +130,7 @@ func TestCollectMailAllocsSteadyStateWorkers(t *testing.T) {
 	pr := e.procs[e.Owner(v)]
 	cols := []int32{0}
 	allocs := testing.AllocsPerRun(50, func() {
-		pr.noteRowChanged(e, v, cols, false)
+		pr.noteRowChanged(e, v, cols)
 		pr.collectMail(e)
 	})
 	if allocs > 0 {

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"time"
 
 	"aacc/internal/cluster"
 	"aacc/internal/dv"
@@ -21,19 +23,21 @@ import (
 // applyEdgeAdditions inserts the given new edges and incrementally updates
 // all distance vectors through them. The whole batch is validated before
 // anything mutates (a dead endpoint, self-loop or non-positive weight
-// rejects the batch intact); the edges then apply strictly one at a time in
-// input order — broadcast the two endpoint rows, insert, relax every local
-// row through the new edge — so a batch of k edges is bit-for-bit identical
-// to k singleton calls. That identity is what lets the ingestion pipeline
+// rejects the batch intact). The batch then gathers the endpoint rows of its
+// improving edges once — one bundled tree broadcast per owner processor,
+// where the paper's Fig. 3 line 22 broadcasts per edge — inserts the edges,
+// and sweeps every local row through them strictly in input order. Edge i
+// reads its endpoints' rows as they stand after edges 1..i-1 (see
+// edgeEndpointRows), so a batch of k edges is bit-for-bit identical to k
+// singleton calls. That identity is what lets the ingestion pipeline
 // (Coalesce, anytime.Session) merge adjacent addition batches without
 // changing any published distance. Edges that already exist with a weight
 // <= the new one are skipped; a strictly smaller weight is treated as a
 // weight decrease (same relaxation). The engine is left un-converged; run
 // Step/Run to propagate the effects.
 //
-// On a multi-process runtime a failed endpoint-row broadcast aborts the
-// batch between edges: edges before the fault are applied (each one
-// atomically), the rest are not. The coordinator's consensus settling
+// On a multi-process runtime a failed endpoint-row gather rejects the whole
+// batch before anything mutates. The coordinator's consensus settling
 // handles the divergence exactly as it does any mid-op transport fault.
 func (e *Engine) applyEdgeAdditions(edges []graph.EdgeTriple) error {
 	for _, ed := range edges {
@@ -47,44 +51,64 @@ func (e *Engine) applyEdgeAdditions(edges []graph.EdgeTriple) error {
 			return fmt.Errorf("core: non-positive weight %d on edge {%d,%d}", ed.W, ed.U, ed.V)
 		}
 	}
-	applied := 0
-	one := make([]graph.EdgeTriple, 1)
-	ends := make([]graph.ID, 2)
+	// The improving check sees the weight an earlier entry of the batch
+	// installs for the same pair — exactly as a singleton sequence would.
+	var improving []graph.EdgeTriple
+	installed := make(map[[2]graph.ID]int32, len(edges))
 	for _, ed := range edges {
-		// The improving check consults the live graph, so a duplicate pair
-		// later in the batch sees the weight an earlier entry installed —
-		// exactly as a singleton sequence would.
-		if w, ok := e.g.Weight(ed.U, ed.V); ok && w <= ed.W {
+		pair := [2]graph.ID{min(ed.U, ed.V), max(ed.U, ed.V)}
+		w, ok := installed[pair]
+		if !ok {
+			w, ok = e.g.Weight(ed.U, ed.V)
+		}
+		if ok && w <= ed.W {
 			continue // no shorter than what exists
 		}
-		one[0] = ed
-		ends[0], ends[1] = ed.U, ed.V
-		if ends[0] > ends[1] {
-			ends[0], ends[1] = ends[1], ends[0]
-		}
-		endRows, err := e.broadcastRows(ends)
-		if err != nil {
-			return err
-		}
+		installed[pair] = ed.W
+		improving = append(improving, ed)
+	}
+	if len(improving) == 0 {
+		return nil
+	}
+	endRows, err := e.gatherRows(edgeEndpoints(improving))
+	if err != nil {
+		return err
+	}
+	for _, ed := range improving {
 		e.g.AddEdge(ed.U, ed.V, ed.W)
 		e.invalidateMask(ed.U)
 		e.invalidateMask(ed.V)
-		e.relaxEdgeBatch(one, endRows)
-		applied++
 	}
-	if applied > 0 {
-		e.conv = false
-	}
+	ends := e.edgeEndpointRows(improving, endRows)
+	e.rt.Parallel(func(p int) {
+		e.procs[p].sweepEdges(e, improving, ends)
+	})
+	e.conv = false
 	return nil
 }
 
-// relaxEdgeBatch relaxes every local row on every resident processor
-// through every new edge, given the endpoint rows already broadcast (tree
-// broadcast, as in Fig. 3 line 22).
-func (e *Engine) relaxEdgeBatch(edges []graph.EdgeTriple, endRows map[graph.ID][]int32) {
-	e.rt.Parallel(func(p int) {
-		e.procs[p].relaxThroughEdges(e, edges, endRows)
-	})
+// edgeEndpointRows returns, for each edge of a batch in order, the rows of
+// its two endpoints just before the edge is swept: the gathered rows, each
+// swept through the batch's earlier edges. The sweep of an endpoint row
+// reads only endpoint rows, so this replays exactly what each endpoint's
+// owner does to its live row, and every processor computes it alike; it is
+// accounted as compute once, as each processor would run it in parallel.
+// endRows is consumed.
+func (e *Engine) edgeEndpointRows(edges []graph.EdgeTriple, endRows map[graph.ID][]int32) [][2][]int32 {
+	start := time.Now()
+	ends := make([][2][]int32, len(edges))
+	var scratch []int32
+	for i, ed := range edges {
+		ends[i] = [2][]int32{slices.Clone(endRows[ed.U]), slices.Clone(endRows[ed.V])}
+		if i == len(edges)-1 {
+			break
+		}
+		for _, row := range endRows {
+			scratch = sweepRow(row, edges[i:i+1], ends[i:i+1], scratch[:0])
+		}
+	}
+	e.rt.AccountCompute(time.Since(start))
+	return ends
 }
 
 // edgeEndpoints returns the sorted distinct endpoints of a batch.
@@ -97,14 +121,15 @@ func edgeEndpoints(edges []graph.EdgeTriple) []graph.ID {
 	return sortedIDs(set)
 }
 
-// broadcastRows snapshots the current DV row of each vertex from its owner
-// and accounts one tree broadcast per row. On a partial (multi-process)
-// engine only resident owners' rows are readable here; the runtime's row
-// all-gather merges in the rows contributed by the other workers, which run
-// the same mutation with the same vertex set. The error is always nil on
-// single-process runtimes.
-func (e *Engine) broadcastRows(ids []graph.ID) (map[graph.ID][]int32, error) {
+// gatherRows snapshots the current DV row of each vertex from its owner and
+// accounts one tree broadcast per owner, carrying all of that owner's rows.
+// On a partial (multi-process) engine only resident owners' rows are
+// readable here; the runtime's row all-gather merges in the rows contributed
+// by the other workers, which run the same mutation with the same vertex
+// set. The error is always nil on single-process runtimes.
+func (e *Engine) gatherRows(ids []graph.ID) (map[graph.ID][]int32, error) {
 	out := make(map[graph.ID][]int32, len(ids))
+	bytes := make([]int, e.opts.P)
 	for _, v := range ids {
 		o := e.Owner(v)
 		if o < 0 || !e.resident(o) {
@@ -115,7 +140,12 @@ func (e *Engine) broadcastRows(ids []graph.ID) (map[graph.ID][]int32, error) {
 			continue
 		}
 		out[v] = row
-		e.rt.Broadcast(o, &cluster.Mail{Payload: v, Bytes: 4 + 4*len(row)})
+		bytes[o] += 4 + 4*len(row)
+	}
+	for o, b := range bytes {
+		if b > 0 {
+			e.rt.Broadcast(o, &cluster.Mail{Payload: o, Bytes: b})
+		}
 	}
 	if rb, ok := e.rt.(runtime.RowBroadcaster); ok && e.partial != nil {
 		all, err := rb.BroadcastRows(out)
@@ -157,7 +187,7 @@ func (e *Engine) applyEdgeDeletions(pairs [][2]graph.ID) error {
 	batch = sortedEdgeList(batch)
 	invalidate := func(pr *proc) (hit, holes []graph.ID) { return pr.wipeSuspectRows(e, batch) }
 	if e.atFixpoint() {
-		endRows, err := e.broadcastRows(edgeEndpoints(batch))
+		endRows, err := e.gatherRows(edgeEndpoints(batch))
 		if err != nil {
 			return err
 		}
@@ -250,12 +280,12 @@ func (pr *proc) invalidateThroughEdges(e *Engine, batch []graph.EdgeTriple, endR
 // hit (ascending) and the external snapshots it punched holes in or dropped.
 // Hit rows are then re-derived: a fresh local Dijkstra is merged in (reusing
 // every surviving partial result; disjoint rows, sharded over the pool) and
-// the row is relaxed through *all* stored rows — not just recently-changed
-// ones — because invalidation destroys the incremental-propagation invariant
-// that a row has already seen every source it depends on. That relax reads
-// live local rows, so it runs sequentially. Snapshots with holes are stale
-// until their owner re-sends, so a full refresh of the owner's intact row is
-// queued for the next exchange.
+// the row pulls from its neighbours' rows, restoring the closure relax keeps
+// (SSSP-Del's invalidate-then-recompute). The pull reads live local rows, so
+// it runs sequentially; each hit row is queued for a full push and send, so
+// the rows it feeds re-derive from it at the next relax. Snapshots with holes
+// are stale until their owner re-sends, so a full refresh of the owner's
+// intact row is queued for the next exchange.
 func (e *Engine) invalidateAndReseed(invalidate func(pr *proc) (hit, holes []graph.ID)) {
 	refresh := make([][]graph.ID, e.opts.P)
 	e.rt.Parallel(func(p int) {
@@ -263,18 +293,8 @@ func (e *Engine) invalidateAndReseed(invalidate func(pr *proc) (hit, holes []gra
 		pr.ensureWorkers(e)
 		var hit []graph.ID
 		hit, refresh[p] = invalidate(pr)
-		if len(hit) == 0 {
-			return
-		}
 		for _, x := range hit {
 			pr.noteRowFull(x)
-		}
-		sources := make([]relaxSource, 0, len(pr.ext)+len(pr.local))
-		for _, s := range sortedExtIDs(pr.ext) {
-			sources = append(sources, relaxSource{id: s, row: pr.ext[s]})
-		}
-		for _, s := range pr.local {
-			sources = append(sources, relaxSource{id: s, row: pr.store.Row(s)})
 		}
 		e.runShards(len(hit), e.shardImbReseed(), func(w, lo, hi int) {
 			for _, x := range hit[lo:hi] {
@@ -282,7 +302,7 @@ func (e *Engine) invalidateAndReseed(invalidate func(pr *proc) (hit, holes []gra
 			}
 		})
 		for _, x := range hit {
-			pr.relaxRowSources(x, sources)
+			pr.pull(e, x)
 		}
 	})
 	for _, holes := range refresh {
@@ -559,7 +579,7 @@ func (e *Engine) applyVertexAdditions(batch *VertexBatch, ps ProcessorAssigner) 
 			}
 		})
 		pr.forEachRecord(func(v graph.ID, cols []int32) {
-			pr.noteRowChanged(e, v, cols, true)
+			pr.noteRowChanged(e, v, cols)
 		})
 	})
 	e.conv = false

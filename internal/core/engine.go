@@ -98,11 +98,11 @@ type Options struct {
 	Workers int
 	// EagerLocalRefresh enables the paper's optional recombination
 	// strategy of refreshing all local DVs against each other every RC
-	// step (the Floyd–Warshall local update, O((n/P)²·n) here). It can
-	// shave RC steps by propagating information within a processor
-	// without waiting for the dirty-source machinery, at a large
-	// per-step cost; the default incremental path reaches the same
-	// fixpoint. Kept for fidelity and ablation.
+	// step (the Floyd–Warshall local update, O((n/P)²·n) here). Relax
+	// already ends every step with each local row closed under its
+	// neighbours; the refresh also composes local rows through each other
+	// (paths that leave the processor and come back), at a large per-step
+	// cost, and reaches the same fixpoint. Kept for fidelity and ablation.
 	EagerLocalRefresh bool
 }
 
@@ -147,6 +147,9 @@ type Engine struct {
 	conv    bool
 	// workers is the intra-processor pool size (Options.Workers, >= 1).
 	workers int
+	// byValue is set when the runtime serialises exchange payloads
+	// (runtime.Serialising): full rows are then sent without a copy.
+	byValue bool
 	// maskCache memoises peerMask per vertex (maskValid[v] gates it);
 	// mutation paths that change a vertex's neighbourhood or ownership
 	// invalidate the affected entries. During parallel phases each vertex's
@@ -180,25 +183,19 @@ type proc struct {
 	// meta: per-row change tracking (which columns, full flags, which
 	// peers hold an up-to-date snapshot).
 	meta map[graph.ID]*rowState
-	// extPending: snapshots changed since last used as relaxation
-	// sources, with the changed columns (full=true for whole-row scans).
-	// Entries are recycled through pendingPool.
+	// extPending: snapshots changed since they last pushed into their local
+	// neighbours, with the changed columns (full=true for whole-row
+	// pushes). Entries are recycled through pendingPool.
 	extPending map[graph.ID]*extPending
-	// pendingRescan: row -> held sources whose distance column decreased
-	// in a mutation outside relax; the DVR rescan rule fires next relax.
-	// Empty in steady state (only mutation paths populate it).
-	pendingRescan map[graph.ID]map[graph.ID]struct{}
 	// isLocal[v] reports local ownership; sized to the engine width.
 	isLocal []bool
 
-	// Reusable relaxation scratch (see gatherSources/relaxRowSources).
-	changedBuf []int32       // changed-column scratch, one row at a time
-	rescanBuf  []graph.ID    // DVR rescan queue
-	lastScan   sparse.I32Map // per-row last-scanned distance per source
-	idBuf      []graph.ID    // sorted-ID scratch
-	srcBuf     []relaxSource // gathered source list
-	srcArena   []int32       // changed-column copies, lifetime = one relax
-	sendArena  []int32       // outgoing delta cols+vals, lifetime = one step
+	// Reusable relaxation scratch (see relax).
+	changedBuf []int32    // changed-column scratch, one row at a time
+	colBuf     []int32    // the pushing row's sorted changed columns
+	idBuf      []graph.ID // sorted-ID scratch
+	batchBuf   []graph.ID // the relax worklist's current batch
+	sendArena  []int32    // outgoing delta cols+vals, lifetime = one step
 
 	// rowPool recycles retired full-row arrays (replaced owned snapshots)
 	// for newRowCopy; pendingPool recycles drained extPending entries.
@@ -290,6 +287,9 @@ type boundaryMsg struct {
 	full [][]int32 // full[i] != nil: complete row
 	cols [][]int32 // else cols[i]/vals[i]: sparse delta
 	vals [][]int32
+	// owned marks full rows that belong to the receiver alone (decoded from
+	// a frame); otherwise one copy is shared by every destination.
+	owned bool
 }
 
 func (m *boundaryMsg) add(v graph.ID, fullRow, cols, vals []int32) {
@@ -365,6 +365,7 @@ func newEngine(g *graph.Graph, opts Options) (*Engine, error) {
 	if pa, ok := rt.(runtime.Partial); ok {
 		e.partial = pa
 	}
+	_, e.byValue = rt.(runtime.Serialising)
 	e.rec = opts.Obs.Events()
 	if opts.Obs != nil {
 		e.om = newEngineObs(opts.Obs)
@@ -445,13 +446,12 @@ func (e *Engine) initialize() {
 // repartition, and retire removes individual vertices.
 func newProc(id, width int) *proc {
 	return &proc{
-		id:            id,
-		store:         dv.NewStore(width),
-		ext:           make(map[graph.ID][]int32),
-		meta:          make(map[graph.ID]*rowState),
-		extPending:    make(map[graph.ID]*extPending),
-		pendingRescan: make(map[graph.ID]map[graph.ID]struct{}),
-		isLocal:       make([]bool, width),
+		id:         id,
+		store:      dv.NewStore(width),
+		ext:        make(map[graph.ID][]int32),
+		meta:       make(map[graph.ID]*rowState),
+		extPending: make(map[graph.ID]*extPending),
+		isLocal:    make([]bool, width),
 	}
 }
 
@@ -474,7 +474,6 @@ func (pr *proc) forgetFlow() {
 	clear(pr.ext)
 	pr.extShared.Reset()
 	pr.dropPending()
-	clear(pr.pendingRescan)
 	clear(pr.meta)
 	pr.dirtySend.Clear()
 	pr.dirtySrc.Clear()
@@ -520,7 +519,6 @@ func (pr *proc) retire(v graph.ID, owned bool) {
 		p.full = false
 		pr.pendingPool = append(pr.pendingPool, p)
 	}
-	delete(pr.pendingRescan, v)
 	pr.store.ClearColumn(v)
 }
 
@@ -963,20 +961,23 @@ func (pr *proc) collectMail(e *Engine) ([]*cluster.Mail, int) {
 		row := pr.store.Row(v)
 		var cols, vals []int32
 		if !st.sendFull {
-			cs := st.sendCols.Sorted()
 			a := len(pr.sendArena)
-			pr.sendArena = append(pr.sendArena, cs...)
+			pr.sendArena = st.sendCols.AppendSorted(pr.sendArena)
 			b := len(pr.sendArena)
-			for _, c := range cs {
+			for _, c := range pr.sendArena[a:b] {
 				pr.sendArena = append(pr.sendArena, row[c])
 			}
 			cols = pr.sendArena[a:b:b]
 			vals = pr.sendArena[b:len(pr.sendArena):len(pr.sendArena)]
 		}
-		// One shared copy serves every destination needing the full row.
+		// One shared copy serves every destination needing the full row; a
+		// serialising runtime encodes the live row before relax can touch it.
 		var fullRow []int32
 		if st.sendFull || st.upToDate&mask != mask {
-			fullRow = pr.newRowCopy(row)
+			fullRow = row
+			if !e.byValue {
+				fullRow = pr.newRowCopy(row)
+			}
 		}
 		sent := false
 		for dst, m := 0, mask; m != 0; dst++ {
@@ -1023,14 +1024,14 @@ func (pr *proc) collectMail(e *Engine) ([]*cluster.Mail, int) {
 }
 
 // installAndRelax applies the received boundary updates — full rows replace
-// the snapshot, deltas patch it — and relaxes every local row through all
-// changed rows (received snapshots and locally-changed rows). It returns
-// how many local rows changed.
+// the snapshot, deltas patch it — and relaxes the local rows through them
+// (see relax). It returns how many local rows changed.
 //
-// Full rows arrive as one copy shared across every destination (and, on the
-// sim runtime, by reference from the sender): they are installed as-is and
-// marked shared, and any later mutation copies first. Replaced owned
-// snapshots are recycled into the row pool.
+// On the sim runtime full rows arrive by reference, as one copy shared
+// across every destination: they are installed as-is and marked shared, and
+// any later mutation copies first. Rows decoded from a wire frame are the
+// receiver's own and are patched in place. Replaced owned snapshots are
+// recycled into the row pool.
 func (pr *proc) installAndRelax(e *Engine, in []*cluster.Mail) int {
 	for _, m := range in {
 		if m == nil {
@@ -1039,11 +1040,18 @@ func (pr *proc) installAndRelax(e *Engine, in []*cluster.Mail) int {
 		msg := m.Payload.(*boundaryMsg)
 		for i, v := range msg.ids {
 			if full := msg.full[i]; full != nil {
-				if old, ok := pr.ext[v]; ok && !pr.extShared.Has(v) {
+				// The row pool feeds send and copy-on-write copies, which
+				// only the sim runtime makes; on a wire runtime it would
+				// only pin rows.
+				if old, ok := pr.ext[v]; ok && !pr.extShared.Has(v) && !msg.owned {
 					pr.recycleRow(old)
 				}
 				pr.ext[v] = full
-				pr.extShared.Set(v)
+				if msg.owned {
+					pr.extShared.Clear(v)
+				} else {
+					pr.extShared.Set(v)
+				}
 				p := pr.pendingFor(v)
 				p.full = true
 				p.cols.Release()

@@ -306,3 +306,84 @@ func TestMutationClone(t *testing.T) {
 		t.Fatal("clone shares the vertex batch")
 	}
 }
+
+// An addition batch gathers its endpoint rows once — one tree broadcast per
+// distinct endpoint owner, where the per-edge broadcast of Fig. 3 line 22
+// paid two per edge — and leaves distances bit-identical to k singleton
+// ApplyBatch calls, right after the batch and at the fixpoint.
+func TestEdgeAddBatchGathersOncePerOwner(t *testing.T) {
+	a, b := enginePair(t, 120, 4)
+	defer a.Close()
+	defer b.Close()
+	a.Step()
+	b.Step()
+
+	var batch []graph.EdgeTriple
+	owners := make(map[int]bool)
+	for i, u := range []graph.ID{0, 7, 19, 33, 48, 70} {
+		v := absentEdge(t, a, u, graph.ID(60+5*i))
+		batch = append(batch, graph.EdgeTriple{U: u, V: v, W: int32(1 + i%3)})
+		owners[a.Owner(u)] = true
+		owners[a.Owner(v)] = true
+	}
+	before := a.Stats().Broadcasts
+	if err := a.ApplyBatch(&Batch{Ops: []Mutation{EdgeAdd(batch...)}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := a.Stats().Broadcasts - before; got != int64(len(owners)) {
+		t.Errorf("a batch of %d edges recorded %d broadcasts, want one per endpoint owner (%d)", len(batch), got, len(owners))
+	}
+	for _, ed := range batch {
+		if err := b.ApplyBatch(&Batch{Ops: []Mutation{EdgeAdd(ed)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	identicalDistances(t, a, b)
+	mustRun(t, a)
+	mustRun(t, b)
+	identicalDistances(t, a, b)
+	checkExact(t, a)
+}
+
+// A deletion after every RC step of one run — mid-analysis, where the
+// suspect rows are wiped, and at the fixpoint, where the exact through-edge
+// test runs — re-derives the hit rows by pulling from their neighbours and
+// reconverges to the oracle, at pool sizes 1 and 4.
+func TestEdgeDeletionAfterEveryStep(t *testing.T) {
+	g := gen.BarabasiAlbert(150, 2, 21, gen.Config{MaxWeight: 3})
+	ref := mustEngine(t, g.Clone(), 4)
+	defer ref.Close()
+	steps := mustRun(t, ref)
+	// One cut edge and one edge inside a processor.
+	var cut, inner [2]graph.ID
+	var haveCut, haveInner bool
+	for _, ed := range g.Edges() {
+		if same := ref.Owner(ed.U) == ref.Owner(ed.V); same && !haveInner {
+			inner, haveInner = [2]graph.ID{ed.U, ed.V}, true
+		} else if !same && !haveCut {
+			cut, haveCut = [2]graph.ID{ed.U, ed.V}, true
+		}
+	}
+	if !haveCut || !haveInner {
+		t.Fatal("graph has no cut edge or no inner edge")
+	}
+	for _, workers := range []int{1, 4} {
+		for k := 0; k <= steps; k++ {
+			e, err := New(g.Clone(), Options{P: 4, Seed: 7, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < k; i++ {
+				if _, err := e.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := e.ApplyBatch(&Batch{Ops: []Mutation{EdgeDelete(cut, inner)}}); err != nil {
+				t.Fatal(err)
+			}
+			mustRun(t, e)
+			checkExact(t, e)
+			e.Close()
+		}
+	}
+}

@@ -10,30 +10,36 @@ import (
 )
 
 // This file is the engine's incremental data path. The recombination update
-// is distance-vector routing over boundary sets:
+// is distance-vector routing over the graph's edges:
 //
-//	d(x, t) = min(d(x, t), d(x, s) + D_s(t))
+//	d(x, t) = min(d(x, t), w(x, y) + d(y, t))   for every neighbour y of x
 //
-// applied for every local row x through every *changed* source row s —
-// received external-boundary snapshots and changed local rows. Two
-// refinements make steady-state steps cost proportional to actual change
-// volume rather than Θ(rows × n):
+// Each processor keeps its local rows closed under their neighbours' rows:
+// the live rows of local neighbours and the held snapshots of external ones
+// (ext holds exactly the external neighbours' rows, see peerMask). relax
+// restores that closure after an exchange, as a worklist:
 //
-//  1. Delta propagation. A source that changed in k columns is scanned over
-//     those k columns only, and the exchange ships only the changed
-//     (column, value) pairs — the paper's "it is sufficient to send only
-//     the updated values of the boundary DVs". A row's first visit to a
-//     peer (or any post-deletion refresh) ships the full row.
+//  1. Each received snapshot y, in ID order, pushes into its local
+//     neighbours, over the columns the delta changed or over the whole row
+//     for a full receipt. A delta also composes through every local row x
+//     that reaches y — x[t] = min(x[t], x[y] + y[t]) over the delta's
+//     columns — so one step carries a distance across several cuts.
+//  2. Local rows that changed push into their local neighbours, in
+//     ascending batches, in place (Gauss–Seidel), until none changed.
 //
-//  2. The DVR rescan rule. Delta scans alone are not exact: if d(x, s)
-//     decreases *after* s last changed, the improved paths through s would
-//     never be applied. Whenever a column of x that names a held source
-//     decreases, x re-scans that source's full row. The fixpoint then
-//     satisfies the same closure as full scanning, so converged distances
-//     stay exact (property-tested against the sequential oracle).
+// Pushes are at the fixed edge weight, so a row that changed in k columns
+// is pushed, and shipped, over those k columns only — the paper's "it is
+// sufficient to send only the updated values of the boundary DVs". A row's
+// first visit to a peer (or any post-deletion refresh) ships the full row.
+// Every entry is the length of a real path, so at the fixpoint (no row
+// changed, nothing sent) every row satisfies the Bellman–Ford equations over
+// its neighbours and the distances are exact. Mutations outside relax keep
+// the closure too: the edge-addition sweep relaxes both endpoints through the
+// new edge, a deletion pulls each re-derived row from its neighbours, and
+// every row they change is queued to push at the next relax.
 //
 // See DESIGN.md ("Incremental data-path memory layout") for the allocation
-// discipline: every per-step structure here is pooled or arena-backed so a
+// discipline: every per-step structure here is pooled or reused so a
 // steady-state RC step allocates near zero.
 
 // rowState tracks a local row's outgoing-change bookkeeping.
@@ -42,10 +48,10 @@ type rowState struct {
 	sendCols sparse.Cols
 	// sendFull forces a full-row send (initial state, deletions).
 	sendFull bool
-	// srcCols are columns changed since the row was last used as a
-	// relaxation source for the other local rows.
+	// srcCols are columns changed since the row last pushed into its local
+	// neighbours.
 	srcCols sparse.Cols
-	// srcFull forces a full-row source scan.
+	// srcFull forces a full-row push.
 	srcFull bool
 	// upToDate is the set of peers whose snapshot has received every
 	// send so far; only they may receive deltas.
@@ -89,33 +95,15 @@ func (pr *proc) state(v graph.ID) *rowState {
 	return st
 }
 
-// noteRowChanged records that cols of local row x decreased. queueRescans
-// is set by mutation paths outside relax (edge sweeps, reseeds): decreased
-// columns naming held sources must trigger a full rescan at the next relax.
-// The relax path passes false because its cascade already rescanned.
-func (pr *proc) noteRowChanged(e *Engine, x graph.ID, cols []int32, queueRescans bool) {
+// noteRowChanged records that cols of local row x decreased: the row is
+// queued to be sent and to push into its local neighbours.
+func (pr *proc) noteRowChanged(e *Engine, x graph.ID, cols []int32) {
 	if len(cols) == 0 {
 		return
 	}
 	pr.dirtySend.Add(x)
 	pr.dirtySrc.Add(x)
 	pr.state(x).noteCols(e.width, cols)
-	if !queueRescans {
-		return
-	}
-	for _, c := range cols {
-		if graph.ID(c) == x {
-			continue
-		}
-		if pr.holdsSource(graph.ID(c)) {
-			set := pr.pendingRescan[x]
-			if set == nil {
-				set = make(map[graph.ID]struct{})
-				pr.pendingRescan[x] = set
-			}
-			set[graph.ID(c)] = struct{}{}
-		}
-	}
 }
 
 // noteRowFull marks a row as changed wholesale (IA, deletions, migration).
@@ -125,235 +113,167 @@ func (pr *proc) noteRowFull(x graph.ID) {
 	pr.state(x).noteFull()
 }
 
-// holdsSource reports whether v's row is readable on this processor (a
-// local row or a held external snapshot) and therefore usable as a
-// relaxation source.
-func (pr *proc) holdsSource(v graph.ID) bool {
-	if int(v) < len(pr.isLocal) && pr.isLocal[v] {
-		return true
-	}
-	_, ok := pr.ext[v]
-	return ok
-}
-
-func (pr *proc) sourceRow(v graph.ID) []int32 {
-	if int(v) < len(pr.isLocal) && pr.isLocal[v] {
-		return pr.store.Row(v)
-	}
-	return pr.ext[v]
-}
-
-// relaxSource is one changed row to relax through; nil cols = full scan.
-type relaxSource struct {
-	id   graph.ID
-	row  []int32
-	cols []int32
-}
-
 // relax performs the recombination update on one processor and returns the
 // number of local rows that changed. It runs in place (Gauss–Seidel) on the
-// processor's goroutine at every pool size: the rows read live sources, so a
-// row relaxed earlier in the pass already feeds the rows after it, and the
-// result of every step is the same whatever Options.Workers is (DESIGN.md §6).
+// processor's goroutine at every pool size: a row pushed into earlier in the
+// pass already feeds the rows after it, and the result of every step is the
+// same whatever Options.Workers is (DESIGN.md §6).
 func (pr *proc) relax(e *Engine) int {
-	sources := pr.gatherSources()
-	if len(sources) == 0 && len(pr.pendingRescan) == 0 {
-		return 0
-	}
-	changed := pr.relaxRows(e, sources)
-	clear(pr.pendingRescan)
-	return changed
-}
-
-// arenaCopy appends cols to the arena and returns the stable view of the
-// copy (never nil — nil means "full scan" to the relax loop). The arena
-// grows by append, so earlier views keep pointing at the old backing array
-// when it reallocates; views are only ever read.
-func arenaCopy(arena *[]int32, cols []int32) []int32 {
-	a := len(*arena)
-	*arena = append(*arena, cols...)
-	return (*arena)[a:len(*arena):len(*arena)]
-}
-
-// gatherSources drains the pending external deltas and dirty local rows
-// into a deterministic (ID-sorted) source list. All scratch — the source
-// list, the ID buffer and the column arena — is per-proc and reused across
-// steps; changed-column lists are copied into the arena so the pending
-// accumulators can be recycled immediately.
-func (pr *proc) gatherSources() []relaxSource {
-	n := len(pr.extPending) + pr.dirtySrc.Len()
-	if n == 0 {
-		return nil
-	}
-	if cap(pr.srcBuf) < n {
-		pr.srcBuf = make([]relaxSource, 0, n)
-	}
-	sources := pr.srcBuf[:0]
-	pr.srcArena = pr.srcArena[:0]
-	pr.idBuf = pr.idBuf[:0]
-	for v := range pr.extPending {
-		pr.idBuf = append(pr.idBuf, v)
-	}
-	slices.Sort(pr.idBuf)
-	for _, id := range pr.idBuf {
-		p := pr.extPending[id]
-		src := relaxSource{id: id, row: pr.ext[id]}
-		if !p.full {
-			src.cols = arenaCopy(&pr.srcArena, p.cols.Sorted())
+	before := pr.dirtySend.Len()
+	if len(pr.extPending) > 0 {
+		ids := pr.idBuf[:0]
+		for y := range pr.extPending {
+			ids = append(ids, y)
 		}
-		p.cols.Reset()
-		p.full = false
-		pr.pendingPool = append(pr.pendingPool, p)
-		sources = append(sources, src)
-	}
-	clear(pr.extPending)
-	for _, id := range pr.dirtySrc.Sorted() {
-		st := pr.state(id)
-		src := relaxSource{id: id, row: pr.store.Row(id)}
-		if !st.srcFull {
-			src.cols = arenaCopy(&pr.srcArena, st.srcCols.Sorted())
+		slices.Sort(ids)
+		pr.idBuf = ids
+		for _, y := range ids {
+			p := pr.extPending[y]
+			full := p.full
+			cols := p.cols.AppendSorted(pr.colBuf[:0])
+			pr.colBuf = cols
+			p.cols.Reset()
+			p.full = false
+			pr.pendingPool = append(pr.pendingPool, p)
+			yrow := pr.ext[y]
+			if !full {
+				pr.compose(e, y, yrow, cols)
+			}
+			pr.push(e, y, yrow, cols, full)
 		}
-		st.srcCols.Reset()
-		st.srcFull = false
-		sources = append(sources, src)
+		clear(pr.extPending)
 	}
-	pr.dirtySrc.Clear()
-	pr.srcBuf = sources
-	return sources
-}
-
-// relaxRows relaxes every local row through the given sources in ascending
-// order, noting the rows that changed, and returns how many changed.
-func (pr *proc) relaxRows(e *Engine, sources []relaxSource) int {
-	changed := 0
-	for _, x := range pr.local {
-		if cols := pr.relaxRowSources(x, sources); len(cols) > 0 {
-			changed++
-			pr.noteRowChanged(e, x, cols, false)
+	for pr.dirtySrc.Len() > 0 {
+		batch := append(pr.batchBuf[:0], pr.dirtySrc.Sorted()...)
+		pr.batchBuf = batch
+		for _, y := range batch {
+			// Taken at its turn, not at the batch start: the pushes of the
+			// rows before it in the batch are already in its columns.
+			pr.dirtySrc.Remove(y)
+			st := pr.state(y)
+			full := st.srcFull
+			cols := st.srcCols.AppendSorted(pr.colBuf[:0])
+			pr.colBuf = cols
+			st.srcCols.Reset()
+			st.srcFull = false
+			pr.push(e, y, pr.store.Row(y), cols, full)
 		}
 	}
-	return changed
+	return pr.dirtySend.Len() - before
 }
 
-// relaxRowSources relaxes one local row once through every source, then
-// applies the DVR rescan rule until stable: any column of x naming a held
-// source that decreased (now, or queued by an earlier mutation) triggers a
-// full scan through that source. lastScan records d(x,s) at the time source s
-// was last fully scanned for this row; a further decrease requires another
-// scan (improvements through s now compose with the shorter d(x,s)). Each
-// round only the *newly* decreased columns seed the next, so the cascade
-// terminates with the row closed under every held source. Returns the
-// deduplicated changed columns, valid until the next call (shared per-proc
-// scratch).
-func (pr *proc) relaxRowSources(x graph.ID, sources []relaxSource) []int32 {
-	row := pr.store.Row(x)
-	changed := pr.changedBuf[:0]
-	for _, s := range sources {
-		if s.id == x {
+// push relaxes every local neighbour x of y through the edge (x,y):
+// x[t] = min(x[t], w + yrow[t]) over cols, or over every column when full.
+func (pr *proc) push(e *Engine, y graph.ID, yrow []int32, cols []int32, full bool) {
+	if yrow == nil || (!full && len(cols) == 0) {
+		return
+	}
+	for _, ed := range e.g.Neighbors(y) {
+		x := ed.To
+		if int(x) >= len(pr.isLocal) || !pr.isLocal[x] {
 			continue
 		}
-		d := row[s.id]
+		row := pr.store.Row(x)
+		if full {
+			pr.changedBuf = dv.ScanFull(row, ed.W, yrow, pr.changedBuf[:0])
+		} else {
+			pr.changedBuf = dv.ScanCols(row, ed.W, yrow, cols, pr.changedBuf[:0])
+		}
+		pr.noteRowChanged(e, x, pr.changedBuf)
+	}
+}
+
+// compose relaxes every local row x with a finite x[y] through the changed
+// columns of y's snapshot: x[t] = min(x[t], x[y] + yrow[t]).
+func (pr *proc) compose(e *Engine, y graph.ID, yrow []int32, cols []int32) {
+	if yrow == nil || len(cols) == 0 {
+		return
+	}
+	for _, x := range pr.local {
+		row := pr.store.Row(x)
+		d := row[y]
 		if d >= dv.Inf {
 			continue
 		}
-		if s.cols == nil {
-			changed = dv.ScanFull(row, d, s.row, changed)
-		} else {
-			changed = dv.ScanCols(row, d, s.row, s.cols, changed)
+		pr.changedBuf = dv.ScanCols(row, d, yrow, cols, pr.changedBuf[:0])
+		pr.noteRowChanged(e, x, pr.changedBuf)
+	}
+}
+
+// pull relaxes local row x through every neighbour's row it can read (live
+// local rows, held snapshots), restoring x's closure after a deletion
+// re-derived it. The caller has already marked x for a full push and send.
+func (pr *proc) pull(e *Engine, x graph.ID) {
+	row := pr.store.Row(x)
+	for _, ed := range e.g.Neighbors(x) {
+		y := ed.To
+		yrow := pr.ext[y]
+		if int(y) < len(pr.isLocal) && pr.isLocal[y] {
+			yrow = pr.store.Row(y)
+		}
+		if yrow != nil {
+			pr.changedBuf = dv.ScanFull(row, ed.W, yrow, pr.changedBuf[:0])
 		}
 	}
-	queue := pr.rescanBuf[:0]
-	if set := pr.pendingRescan[x]; len(set) > 0 {
-		for s := range set {
-			queue = append(queue, s)
-		}
-		slices.Sort(queue)
-	}
-	for _, c := range changed {
-		if graph.ID(c) != x && pr.holdsSource(graph.ID(c)) {
-			queue = append(queue, graph.ID(c))
-		}
-	}
-	if len(queue) > 0 {
-		pr.lastScan.Clear()
-		for head := 0; head < len(queue); {
-			end := len(queue)
-			prevLen := len(changed)
-			for _, s := range queue[head:end] {
-				d := row[s]
-				if d >= dv.Inf {
-					continue
-				}
-				if last, ok := pr.lastScan.Get(s); ok && d >= last {
-					continue // no decrease since the last full scan
-				}
-				srow := pr.sourceRow(s)
-				if srow == nil {
-					continue
-				}
-				pr.lastScan.Set(s, d)
-				changed = dv.ScanFull(row, d, srow, changed)
-			}
-			head = end
-			for _, c := range changed[prevLen:] {
-				if graph.ID(c) != x && pr.holdsSource(graph.ID(c)) {
-					queue = append(queue, graph.ID(c))
-				}
-			}
-		}
-	}
-	pr.rescanBuf = queue[:0]
-	changed = dedupCols(changed)
-	pr.changedBuf = changed
-	return changed
 }
 
 // eagerLocalRefresh implements the paper's optional "update local DVs"
-// recombination strategy: every local row is relaxed through every other
-// local row regardless of dirtiness — the distance-vector equivalent of the
-// local Floyd–Warshall refresh, providing "more up-to-date partial results
-// to the user without having to depend on future recombination steps".
-// Returns the number of rows it changed.
+// recombination strategy: one pass relaxing every local row through every
+// other local row, x[t] = min(x[t], x[s] + s[t]), regardless of dirtiness —
+// the distance-vector equivalent of the local Floyd–Warshall refresh,
+// providing "more up-to-date partial results to the user without having to
+// depend on future recombination steps". Returns the number of rows it
+// changed that the step's relax had not.
 func (pr *proc) eagerLocalRefresh(e *Engine) int {
-	sources := make([]relaxSource, 0, len(pr.local))
-	for _, s := range pr.local {
-		sources = append(sources, relaxSource{id: s, row: pr.store.Row(s)})
+	before := pr.dirtySend.Len()
+	for _, x := range pr.local {
+		row := pr.store.Row(x)
+		changed := pr.changedBuf[:0]
+		for _, s := range pr.local {
+			if d := row[s]; s != x && d < dv.Inf {
+				changed = dv.ScanFull(row, d, pr.store.Row(s), changed)
+			}
+		}
+		pr.changedBuf = changed
+		pr.noteRowChanged(e, x, changed)
 	}
-	return pr.relaxRows(e, sources)
+	return pr.dirtySend.Len() - before
 }
 
-// relaxThroughEdges relaxes every local row through a batch of new edges,
-// the kernel of the paper's edge-addition algorithm (Fig. 3 lines 26–34):
+// sweepEdges relaxes every local row through a batch of new edges, in
+// order, the kernel of the paper's edge-addition algorithm (Fig. 3 lines
+// 26–34):
 //
 //	d(x, t) = min(d(x, t), d(x, u) + w + D_v(t), d(x, v) + w + D_u(t))
 //
-// endRows maps each edge endpoint to the broadcast snapshot of its DV row.
-// Changed rows are queued for propagation (with rescans: a decreased column
-// naming a held source must be rescanned at the next RC step). The endpoint
-// rows are pre-broadcast snapshots and each row relaxes independently through
+// ends[i] holds edge i's endpoint rows (u, v) as they stand just before edge
+// i is swept (see edgeEndpointRows). Each row relaxes independently through
 // them, so the sweep shards over the pool; only the dirty bookkeeping waits
 // for the ordered merge.
-func (pr *proc) relaxThroughEdges(e *Engine, edges []graph.EdgeTriple, endRows map[graph.ID][]int32) {
+func (pr *proc) sweepEdges(e *Engine, edges []graph.EdgeTriple, ends [][2][]int32) {
 	pr.ensureWorkers(e)
 	e.runShards(len(pr.local), e.shardImbReseed(), func(w, lo, hi int) {
 		ws := &pr.ws[w]
 		for _, x := range pr.local[lo:hi] {
-			row := pr.store.Row(x)
-			changed := ws.changed[:0]
-			for _, ed := range edges {
-				changed = relaxRowThroughEdge(row, ed.U, ed.W, endRows[ed.V], changed)
-				changed = relaxRowThroughEdge(row, ed.V, ed.W, endRows[ed.U], changed)
+			ws.changed = sweepRow(pr.store.Row(x), edges, ends, ws.changed[:0])
+			if len(ws.changed) > 0 {
+				ws.record(x, ws.changed)
 			}
-			if len(changed) > 0 {
-				changed = dedupCols(changed)
-				ws.record(x, changed)
-			}
-			ws.changed = changed
 		}
 	})
 	pr.forEachRecord(func(x graph.ID, cols []int32) {
-		pr.noteRowChanged(e, x, cols, true)
+		pr.noteRowChanged(e, x, cols)
 	})
+}
+
+// sweepRow relaxes one row through every edge of a batch in order,
+// appending the changed columns (possibly repeated) to changed.
+func sweepRow(row []int32, edges []graph.EdgeTriple, ends [][2][]int32, changed []int32) []int32 {
+	for i, ed := range edges {
+		changed = relaxRowThroughEdge(row, ed.U, ed.W, ends[i][1], changed)
+		changed = relaxRowThroughEdge(row, ed.V, ed.W, ends[i][0], changed)
+	}
+	return changed
 }
 
 // relaxRowThroughEdge applies d(x,t) = min(d(x,t), d(x,u) + w + D_v(t)),
@@ -421,21 +341,6 @@ func invalidateThroughEdge(pristine, row []int32, self graph.ID, u, v graph.ID, 
 		}
 	}
 	return count
-}
-
-// dedupCols sorts and deduplicates a changed-column list in place.
-func dedupCols(cols []int32) []int32 {
-	if len(cols) < 2 {
-		return cols
-	}
-	slices.Sort(cols)
-	out := cols[:1]
-	for _, c := range cols[1:] {
-		if c != out[len(out)-1] {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 // sortedEdgeList returns edges sorted for deterministic sweeps.

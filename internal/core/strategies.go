@@ -257,6 +257,7 @@ func (e *Engine) repartition(batch *VertexBatch) (*RepartitionResult, error) {
 	// one message carries every row moving between the pair — so the model's
 	// per-message cost is paid per pair, not per row.
 	migBytes := make([]int, e.opts.P*e.opts.P)
+	var cols []int32 // scratch: a promoted snapshot's unsent columns
 	for _, v := range e.g.Vertices() {
 		oldOwner := int(e.owner[v])
 		newOwner := assign.Of(v)
@@ -278,7 +279,7 @@ func (e *Engine) repartition(batch *VertexBatch) (*RepartitionResult, error) {
 				// The new owner already holds a current snapshot (it was a
 				// boundary neighbour): promote it to the owned row and ship
 				// only the columns changed since the last send.
-				cols := st.sendCols.Sorted()
+				cols = st.sendCols.AppendSorted(cols[:0])
 				migBytes[oldOwner*e.opts.P+newOwner] += 4 + 8*len(cols)
 				if dst.extShared.Has(v) {
 					snap = dst.newRowCopy(snap)
@@ -355,15 +356,14 @@ func (e *Engine) repartition(batch *VertexBatch) (*RepartitionResult, error) {
 		}
 		// Relax closure: migrated rows have never been relaxed against this
 		// processor's sources (and vice versa), so mark every surviving
-		// snapshot and every local row for a full source scan — the compute
+		// snapshot and every local row for a full push — the compute
 		// the old full exchange triggered, without the bytes. This subsumes
-		// any pending deltas and rescans.
+		// any pending deltas.
 		for s := range pr.ext {
 			pd := pr.pendingFor(s)
 			pd.full = true
 			pd.cols.Release()
 		}
-		clear(pr.pendingRescan)
 		// Flow-metadata bookkeeping runs sequentially first (peer-mask reads
 		// hit the cache warmed above).
 		for _, v := range pr.local {

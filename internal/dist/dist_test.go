@@ -967,3 +967,78 @@ func TestClusterDeletionNotConverged(t *testing.T) {
 		}
 	}
 }
+
+// TestClusterEdgeAddBatchOneGather runs an edge-addition batch on a
+// two-worker cluster: the endpoint rows are gathered once per batch (one
+// tree broadcast per distinct endpoint owner, summed over the workers, and
+// one row all-gather), and the distances are bit-identical to a
+// single-process engine applying the edges as k singleton batches — right
+// after the batch and at the fixpoint.
+func TestClusterEdgeAddBatchOneGather(t *testing.T) {
+	base := testGraph(120)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	ln := listen(t)
+	coordAddr := ln.Addr().String()
+	_, done0 := startWorker(t, ctx, coordAddr, "", base)
+	_, done1 := startWorker(t, ctx, coordAddr, "", base)
+
+	coord := newTestCoordinator(t, ln, base.Clone(), 2)
+	defer coord.Close()
+	ora := oracle(t, base.Clone())
+	defer ora.Close()
+
+	step := func() error { _, err := coord.Step(); return err }
+	oraStep := func() error { _, err := ora.Step(); return err }
+	for i := 0; i < 2; i++ {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+		if err := oraStep(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var batch []graph.EdgeTriple
+	owners := make(map[int]bool)
+	for u := graph.ID(0); len(batch) < 6; u += 11 {
+		v := graph.ID(base.NumIDs()-1) - u
+		if base.HasEdge(u, v) {
+			continue
+		}
+		batch = append(batch, graph.EdgeTriple{U: u, V: v, W: int32(1 + len(batch)%3)})
+		owners[ora.Owner(u)] = true
+		owners[ora.Owner(v)] = true
+	}
+	before := coord.Stats().Broadcasts
+	if err := coord.ApplyBatch(&core.Batch{Ops: []core.Mutation{core.EdgeAdd(batch...)}}); err != nil {
+		t.Fatalf("cluster batch: %v", err)
+	}
+	if got := coord.Stats().Broadcasts - before; got != int64(len(owners)) {
+		t.Errorf("a batch of %d edges recorded %d broadcasts, want one per endpoint owner (%d)", len(batch), got, len(owners))
+	}
+	for _, ed := range batch {
+		if err := ora.ApplyBatch(&core.Batch{Ops: []core.Mutation{core.EdgeAdd(ed)}}); err != nil {
+			t.Fatalf("oracle singleton: %v", err)
+		}
+	}
+	compareDistances(t, "after the batch", coord.Distances(), ora.Distances())
+	converge(t, "cluster", step, coord.Converged)
+	converge(t, "oracle", oraStep, ora.Converged)
+	compareDistances(t, "fixpoint", coord.Distances(), ora.Distances())
+
+	if err := coord.Close(); err != nil {
+		t.Fatalf("coordinator close: %v", err)
+	}
+	for i, done := range []chan error{done0, done1} {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("worker %d exit: %v", i, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("worker %d did not exit after shutdown", i)
+		}
+	}
+}

@@ -1,18 +1,22 @@
 // Package sparse provides the allocation-free change-tracking structures of
-// the engine's incremental data path: generation-stamped sparse sets and
-// maps over small integer keys (vertex IDs, DV columns), an amortised-dedup
-// column accumulator, and a growable bitset.
+// the engine's incremental data path: a generation-stamped sparse set over
+// small integer keys (vertex IDs), a bitmap changed-column set, and a
+// growable bitset.
 //
 // The recombination step must cost time proportional to actual change
 // volume, and in steady state that volume is tiny — a handful of dirty rows
 // with a handful of changed columns each. Tracking that through Go maps
 // (hash per insert, iterate-and-sort per flatten, one allocation per set)
 // made the bookkeeping dominate the step. Every structure here instead
-// clears in O(1) by bumping a generation stamp, reuses its backing arrays
-// across steps, and flattens deterministically (sorted) without allocating.
+// clears cheaply (a generation stamp, or a bitmap clear), reuses its backing
+// arrays across steps, and flattens deterministically (sorted) without
+// allocating.
 package sparse
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Set is a generation-stamped sparse set over non-negative int32 keys.
 // Add, Has, Remove and Clear are O(1); the zero value is ready to use and
@@ -102,107 +106,77 @@ func (s *Set) Sorted() []int32 {
 	return s.dense
 }
 
-// Cols accumulates changed DV column lists with deduplication deferred until
-// it matters. Per-row change sets need this shape: a width-sized stamp array
-// per row would multiply the engine's memory by the row count, so Cols keeps
-// only the appended columns and dedups (sort + compact, in place) when the
-// unique count must be known — at the sparse/full threshold check and at
-// flatten time. Callers append already-deduplicated per-relax column lists,
-// so the list stays near its unique size between dedups.
+// Cols is a changed-column set over one DV row: a width-bit bitmap plus its
+// unique count. Per-row change sets need exact unique counts (the sparse/full
+// threshold must not trip on duplicate notes) and cheap repeated notes (the
+// relax worklist notes the same columns of a row many times in one step); a
+// bitmap gives both with width/8 bytes per tracked row, and flattens in
+// ascending order straight into the caller's arena. The zero value is ready
+// to use; the bitmap grows on demand and is reused across Resets.
 type Cols struct {
-	list []int32
+	words []uint64
+	n     int // number of set bits
 }
 
-// Note appends cols and reports whether the unique column count now exceeds
-// max — the signal to abandon sparse tracking and go full-row. The count is
-// exact: duplicates never trip the threshold early.
+// Note adds cols and reports whether the unique column count now exceeds
+// max — the signal to abandon sparse tracking and go full-row. Duplicates,
+// within cols or with earlier notes, count once.
 func (c *Cols) Note(cols []int32, max int) (overflow bool) {
-	c.list = append(c.list, cols...)
-	if len(c.list) <= max {
-		return false
-	}
-	c.dedup()
-	return len(c.list) > max
-}
-
-// Sorted dedups in place and returns the sorted unique columns. The slice is
-// owned by the accumulator: valid only until the next Note/Reset/Release.
-func (c *Cols) Sorted() []int32 {
-	c.dedup()
-	return c.list
-}
-
-// Len returns the current (possibly duplicate-inflated) list length.
-func (c *Cols) Len() int { return len(c.list) }
-
-// Reset empties the accumulator, keeping its capacity for reuse.
-func (c *Cols) Reset() { c.list = c.list[:0] }
-
-// Release empties the accumulator and frees its backing array (used when a
-// row goes full: the tracked set was just proven large, so holding the
-// buffer would pin ~width/2 ints per full row).
-func (c *Cols) Release() { c.list = nil }
-
-func (c *Cols) dedup() {
-	if len(c.list) < 2 {
-		return
-	}
-	slices.Sort(c.list)
-	out := c.list[:1]
-	for _, v := range c.list[1:] {
-		if v != out[len(out)-1] {
-			out = append(out, v)
+	for _, v := range cols {
+		w := int(v >> 6)
+		if w >= len(c.words) {
+			c.grow(w)
+		}
+		bit := uint64(1) << uint(v&63)
+		if c.words[w]&bit == 0 {
+			c.words[w] |= bit
+			c.n++
 		}
 	}
-	c.list = out
+	return c.n > max
 }
 
-// I32Map is a generation-stamped map from non-negative int32 keys to int32
-// values with O(1) Clear. The zero value is ready to use; backing arrays
-// grow on demand and are reused across Clears. The engine uses one per
-// processor for the DVR rescan rule's last-scanned-distance bookkeeping.
-type I32Map struct {
-	val   []int32
-	stamp []uint32
-	gen   uint32
-}
-
-// Get returns the value for k and whether it is present.
-func (m *I32Map) Get(k int32) (int32, bool) {
-	if int(k) >= len(m.stamp) || m.gen == 0 || m.stamp[k] != m.gen {
-		return 0, false
+func (c *Cols) grow(w int) {
+	n := w + 1
+	if n < 2*len(c.words) {
+		n = 2 * len(c.words)
 	}
-	return m.val[k], true
+	words := make([]uint64, n)
+	copy(words, c.words)
+	c.words = words
 }
 
-// Set stores v under k.
-func (m *I32Map) Set(k int32, v int32) {
-	if int(k) >= len(m.stamp) {
-		n := int(k) + 1
-		if n < 2*len(m.stamp) {
-			n = 2 * len(m.stamp)
+// AppendSorted appends the set's columns to dst in ascending order and
+// returns the extended slice.
+func (c *Cols) AppendSorted(dst []int32) []int32 {
+	if c.n == 0 {
+		return dst
+	}
+	for w, word := range c.words {
+		for word != 0 {
+			dst = append(dst, int32(w<<6+bits.TrailingZeros64(word)))
+			word &= word - 1
 		}
-		stamp := make([]uint32, n)
-		copy(stamp, m.stamp)
-		m.stamp = stamp
-		val := make([]int32, n)
-		copy(val, m.val)
-		m.val = val
 	}
-	if m.gen == 0 {
-		m.gen = 1
-	}
-	m.stamp[k] = m.gen
-	m.val[k] = v
+	return dst
 }
 
-// Clear empties the map in O(1).
-func (m *I32Map) Clear() {
-	m.gen++
-	if m.gen == 0 {
-		clear(m.stamp)
-		m.gen = 1
+// Len returns the number of unique columns.
+func (c *Cols) Len() int { return c.n }
+
+// Reset empties the set, keeping its bitmap for reuse.
+func (c *Cols) Reset() {
+	if c.n > 0 {
+		clear(c.words)
+		c.n = 0
 	}
+}
+
+// Release empties the set and frees its bitmap (used when a row goes full:
+// full rows track no columns, so the bitmap would only pin width/8 bytes).
+func (c *Cols) Release() {
+	c.words = nil
+	c.n = 0
 }
 
 // Bits is a growable bitset over non-negative int32 keys. The zero value is

@@ -96,7 +96,7 @@ func TestColsDedupAndThreshold(t *testing.T) {
 			t.Fatalf("note %d: duplicate columns tripped the threshold", i)
 		}
 	}
-	if got := c.Sorted(); !slices.Equal(got, []int32{7}) {
+	if got := c.AppendSorted(nil); !slices.Equal(got, []int32{7}) {
 		t.Fatalf("Sorted = %v, want [7]", got)
 	}
 	if !c.Note([]int32{3, 9}, 2) {
@@ -116,22 +116,23 @@ func TestColsOverflowExact(t *testing.T) {
 	if c.Note([]int32{5, 5, 5, 5, 5}, 1) {
 		t.Fatal("1 unique must not overflow max 1 despite 5 entries")
 	}
-	if got := c.Sorted(); !slices.Equal(got, []int32{5}) {
+	if got := c.AppendSorted(nil); !slices.Equal(got, []int32{5}) {
 		t.Fatalf("Sorted = %v, want [5]", got)
 	}
 }
 
 func TestColsAgainstMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	var c Cols // reused across trials: Reset must leave no stale bits
 	for trial := 0; trial < 200; trial++ {
-		var c Cols
+		c.Reset()
 		ref := make(map[int32]bool)
 		max := 1 + rng.Intn(20)
 		over := false
 		for n := 0; n < 30 && !over; n++ {
 			batch := make([]int32, 1+rng.Intn(6))
 			for i := range batch {
-				batch[i] = int32(rng.Intn(40))
+				batch[i] = int32(rng.Intn(40 + 8*trial))
 				ref[batch[i]] = true
 			}
 			over = c.Note(batch, max)
@@ -140,6 +141,7 @@ func TestColsAgainstMap(t *testing.T) {
 			}
 		}
 		if over {
+			c.Release() // as a row going full does; the next trial regrows it
 			continue
 		}
 		want := make([]int32, 0, len(ref))
@@ -147,36 +149,10 @@ func TestColsAgainstMap(t *testing.T) {
 			want = append(want, v)
 		}
 		slices.Sort(want)
-		if !slices.Equal(c.Sorted(), want) {
-			t.Fatalf("trial %d: %v != %v", trial, c.Sorted(), want)
+		prefix := []int32{-1}
+		if got := c.AppendSorted(prefix); !slices.Equal(got[1:], want) || got[0] != -1 || c.Len() != len(want) {
+			t.Fatalf("trial %d: %v (len %d) != %v", trial, got, c.Len(), want)
 		}
-	}
-}
-
-func TestI32Map(t *testing.T) {
-	var m I32Map
-	if _, ok := m.Get(3); ok {
-		t.Fatal("zero map not empty")
-	}
-	m.Set(3, 42)
-	m.Set(100, 7)
-	m.Set(3, 43)
-	if v, ok := m.Get(3); !ok || v != 43 {
-		t.Fatalf("Get(3) = %d,%v", v, ok)
-	}
-	if v, ok := m.Get(100); !ok || v != 7 {
-		t.Fatalf("Get(100) = %d,%v", v, ok)
-	}
-	if _, ok := m.Get(4); ok {
-		t.Fatal("absent key present")
-	}
-	m.Clear()
-	if _, ok := m.Get(3); ok {
-		t.Fatal("clear broken")
-	}
-	m.Set(3, 1)
-	if v, ok := m.Get(3); !ok || v != 1 {
-		t.Fatal("set after clear broken")
 	}
 }
 
