@@ -607,17 +607,19 @@ func (s *Session) publish() {
 		taken:       start,
 		next:        make(chan struct{}),
 	}
+	// The gauges describe the new epoch before any reader can see it: a
+	// WaitFor woken by the swap must not read the previous epoch's values.
+	if s.om != nil {
+		s.om.published(snap, time.Since(start))
+		s.om.limits(s.opts.StepBudget-(s.eng.StepCount()-s.baseStep),
+			s.opts.Deadline-time.Since(s.started))
+	}
 	old := s.cur.Swap(snap)
 	if old != nil {
 		close(old.next)
 	}
 	s.dirty = false
 	s.sincePublish = 0
-	if s.om != nil {
-		s.om.published(snap, time.Since(start))
-		s.om.limits(s.opts.StepBudget-(s.eng.StepCount()-s.baseStep),
-			s.opts.Deadline-time.Since(s.started))
-	}
 	if s.spans != nil {
 		s.spans.Span(obs.Span{
 			Trace:     s.traceKey(),

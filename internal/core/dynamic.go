@@ -246,22 +246,9 @@ func (pr *proc) invalidateThroughEdges(e *Engine, batch []graph.EdgeTriple, endR
 		}
 	})
 	hit = pr.takeRows()
-	// External snapshots: copy-on-write sequentially (map writes, row pool)
-	// before the sweep may punch holes — the backing array is shared with
-	// other processors — then shard the sweeps over the frozen id list.
-	swept := pr.idBuf[:0]
-	for _, s := range sortedExtIDs(pr.ext) {
-		row := pr.ext[s]
-		if len(row) < e.width {
-			continue // stale narrow snapshot; owner will refresh
-		}
-		if pr.extShared.Has(s) {
-			pr.ext[s] = pr.newRowCopy(row)
-			pr.extShared.Clear(s)
-		}
-		swept = append(swept, s)
-	}
-	pr.idBuf = swept
+	// External snapshots are this processor's own arrays: shard the sweeps
+	// over the sorted id list.
+	swept := sortedExtIDs(pr.ext)
 	e.runShards(len(swept), nil, func(w, lo, hi int) {
 		ws := &pr.ws[w]
 		for _, s := range swept[lo:hi] {
@@ -357,17 +344,7 @@ func (pr *proc) wipeSuspectRows(e *Engine, batch []graph.EdgeTriple) (hit, holes
 	})
 	for s, row := range pr.ext {
 		if suspect(row) {
-			delete(pr.ext, s)
-			if !pr.extShared.Has(s) {
-				pr.recycleRow(row)
-			}
-			pr.extShared.Clear(s)
-			if pd, ok := pr.extPending[s]; ok {
-				delete(pr.extPending, s)
-				pd.cols.Reset()
-				pd.full = false
-				pr.pendingPool = append(pr.pendingPool, pd)
-			}
+			pr.dropSnapshot(s)
 			holes = append(holes, s)
 		}
 	}
@@ -643,26 +620,15 @@ func (e *Engine) growTo(width int) {
 		e.maskCache = append(e.maskCache, 0)
 		e.maskValid = append(e.maskValid, false)
 	}
+	e.width = width
 	e.rt.Parallel(func(p int) {
 		pr := e.procs[p]
 		pr.store.Grow(width)
-		for v, row := range pr.ext {
-			if len(row) < width {
-				grown := make([]int32, width)
-				n := copy(grown, row)
-				for i := n; i < width; i++ {
-					grown[i] = dv.Inf
-				}
-				if !pr.extShared.Has(v) {
-					pr.recycleRow(row)
-				}
-				pr.ext[v] = grown
-				pr.extShared.Clear(v) // the grown copy is owned
-			}
+		for v := range pr.ext {
+			pr.snapshot(e, v)
 		}
 		for len(pr.isLocal) < width {
 			pr.isLocal = append(pr.isLocal, false)
 		}
 	})
-	e.width = width
 }

@@ -26,6 +26,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -147,9 +148,6 @@ type Engine struct {
 	conv    bool
 	// workers is the intra-processor pool size (Options.Workers, >= 1).
 	workers int
-	// byValue is set when the runtime serialises exchange payloads
-	// (runtime.Serialising): full rows are then sent without a copy.
-	byValue bool
 	// maskCache memoises peerMask per vertex (maskValid[v] gates it);
 	// mutation paths that change a vertex's neighbourhood or ownership
 	// invalidate the affected entries. During parallel phases each vertex's
@@ -170,12 +168,9 @@ type proc struct {
 	local []graph.ID // sorted local vertex IDs
 	store *dv.Store
 	// ext holds the latest received snapshot of each external boundary
-	// vertex's DV row (full receipts replace it; deltas patch it).
+	// vertex's DV row, each this processor's own array of the engine width
+	// (full receipts are copied in; deltas patch it). See snapshot.
 	ext map[graph.ID][]int32
-	// extShared marks ext rows whose backing array may be shared with
-	// other processors (full rows arrive as one copy shared across all
-	// destinations); any mutation must copy-on-write first.
-	extShared sparse.Bits
 	// dirtySend: local rows changed since they were last sent.
 	dirtySend sparse.Set
 	// dirtySrc: local rows changed since last used as relaxation sources.
@@ -197,10 +192,8 @@ type proc struct {
 	batchBuf   []graph.ID // the relax worklist's current batch
 	sendArena  []int32    // outgoing delta cols+vals, lifetime = one step
 
-	// rowPool recycles retired full-row arrays (replaced owned snapshots)
-	// for newRowCopy; pendingPool recycles drained extPending entries.
+	// pendingPool recycles drained extPending entries.
 	pendingPool []*extPending
-	rowPool     [][]int32
 
 	// Pooled outgoing-mail structures, reused across steps: mailBuf is the
 	// per-destination mail slice handed to the exchange, mailCells/msgCells
@@ -254,27 +247,35 @@ func (pr *proc) pendingFor(v graph.ID) *extPending {
 	return p
 }
 
-// newRowCopy returns a copy of src backed by a pooled array when available.
-func (pr *proc) newRowCopy(src []int32) []int32 {
-	for n := len(pr.rowPool); n > 0; n = len(pr.rowPool) {
-		row := pr.rowPool[n-1]
-		pr.rowPool[n-1] = nil
-		pr.rowPool = pr.rowPool[:n-1]
-		if cap(row) >= len(src) {
-			row = row[:len(src)]
-			copy(row, src)
-			return row
-		}
-	}
-	out := make([]int32, len(src))
-	copy(out, src)
-	return out
+// recyclePending empties a drained or dropped extPending entry into the pool.
+func (pr *proc) recyclePending(p *extPending) {
+	p.cols.Reset()
+	p.full = false
+	pr.pendingPool = append(pr.pendingPool, p)
 }
 
-// recycleRow returns an owned (never shared) row array to the pool.
-func (pr *proc) recycleRow(row []int32) {
-	if row != nil {
-		pr.rowPool = append(pr.rowPool, row)
+// snapshot returns v's held snapshot, this processor's own array of the
+// engine width: created on first contact (Inf, 0 at v) and widened after the
+// ID space grew, with the new tail filled with Inf.
+func (pr *proc) snapshot(e *Engine, v graph.ID) []int32 {
+	row, ok := pr.ext[v]
+	if n := len(row); n < e.width {
+		row = slices.Grow(row, e.width-n)[:e.width]
+		dv.FillInf(row[n:])
+		if !ok {
+			row[v] = 0
+		}
+		pr.ext[v] = row
+	}
+	return row
+}
+
+// dropSnapshot forgets v's held snapshot and any relax work queued for it.
+func (pr *proc) dropSnapshot(v graph.ID) {
+	delete(pr.ext, v)
+	if p, ok := pr.extPending[v]; ok {
+		delete(pr.extPending, v)
+		pr.recyclePending(p)
 	}
 }
 
@@ -287,9 +288,6 @@ type boundaryMsg struct {
 	full [][]int32 // full[i] != nil: complete row
 	cols [][]int32 // else cols[i]/vals[i]: sparse delta
 	vals [][]int32
-	// owned marks full rows that belong to the receiver alone (decoded from
-	// a frame); otherwise one copy is shared by every destination.
-	owned bool
 }
 
 func (m *boundaryMsg) add(v graph.ID, fullRow, cols, vals []int32) {
@@ -365,7 +363,6 @@ func newEngine(g *graph.Graph, opts Options) (*Engine, error) {
 	if pa, ok := rt.(runtime.Partial); ok {
 		e.partial = pa
 	}
-	_, e.byValue = rt.(runtime.Serialising)
 	e.rec = opts.Obs.Events()
 	if opts.Obs != nil {
 		e.om = newEngineObs(opts.Obs)
@@ -472,7 +469,6 @@ func (pr *proc) crash(width int) {
 // change wholesale (repartitioning) or the state is rebuilt (crash).
 func (pr *proc) forgetFlow() {
 	clear(pr.ext)
-	pr.extShared.Reset()
 	pr.dropPending()
 	clear(pr.meta)
 	pr.dirtySend.Clear()
@@ -482,9 +478,7 @@ func (pr *proc) forgetFlow() {
 // dropPending recycles and clears every extPending entry.
 func (pr *proc) dropPending() {
 	for _, p := range pr.extPending {
-		p.cols.Reset()
-		p.full = false
-		pr.pendingPool = append(pr.pendingPool, p)
+		pr.recyclePending(p)
 	}
 	clear(pr.extPending)
 }
@@ -506,19 +500,7 @@ func (pr *proc) retire(v graph.ID, owned bool) {
 		pr.dirtySrc.Remove(v)
 		delete(pr.meta, v)
 	}
-	if row, ok := pr.ext[v]; ok {
-		delete(pr.ext, v)
-		if !pr.extShared.Has(v) {
-			pr.recycleRow(row)
-		}
-		pr.extShared.Clear(v)
-	}
-	if p, ok := pr.extPending[v]; ok {
-		delete(pr.extPending, v)
-		p.cols.Reset()
-		p.full = false
-		pr.pendingPool = append(pr.pendingPool, p)
-	}
+	pr.dropSnapshot(v)
 	pr.store.ClearColumn(v)
 }
 
@@ -674,7 +656,7 @@ func (e *Engine) exchangePhase(mail [][]*cluster.Mail) ([][]*cluster.Mail, error
 	return in, err
 }
 
-// checkMail rejects received mail that installAndRelax could not apply in
+// checkMail rejects received mail that install could not apply in
 // bounds: a payload of another type, a row ID or delta column outside the
 // engine's ID space, or a full row longer than it. Frames from another
 // process arrive decoded but unchecked against this engine's width.
@@ -704,12 +686,17 @@ func (e *Engine) checkMail(in [][]*cluster.Mail) error {
 }
 
 // installRelaxPhase installs the received boundary updates on every
-// processor and relaxes local rows through the changed sources, returning
-// per-processor changed-row counts.
+// processor, then relaxes local rows through the changed sources, returning
+// per-processor changed-row counts. Full receipts carry the sender's live
+// row, so relax — the only writer of live rows — waits until every
+// processor has copied what it received.
 func (e *Engine) installRelaxPhase(in [][]*cluster.Mail) []int {
 	changed := e.changedBuf
 	e.rt.Parallel(func(i int) {
-		changed[i] = e.procs[i].installAndRelax(e, in[i])
+		e.procs[i].install(e, in[i])
+	})
+	e.rt.Parallel(func(i int) {
+		changed[i] = e.procs[i].relax(e)
 	})
 	return changed
 }
@@ -927,10 +914,10 @@ func (e *Engine) invalidateAllMasks() {
 // collectMail gathers this processor's changed boundary rows into one
 // message per peer processor. A peer holding an up-to-date snapshot gets
 // only the changed (column, value) pairs; first contacts and forced
-// refreshes get one shared read-only full copy (receivers copy-on-write
-// before mutating, see extShared). Delta cols/vals live in the per-proc
-// send arena, valid until the next collect; message and mail objects are
-// pooled per destination.
+// refreshes get the live row itself, which every receiver copies into its
+// own snapshot before any row is relaxed (see installRelaxPhase). Delta
+// cols/vals live in the per-proc send arena, valid until the next collect;
+// message and mail objects are pooled per destination.
 func (pr *proc) collectMail(e *Engine) ([]*cluster.Mail, int) {
 	if len(pr.mailBuf) != e.opts.P {
 		pr.mailBuf = make([]*cluster.Mail, e.opts.P)
@@ -970,15 +957,6 @@ func (pr *proc) collectMail(e *Engine) ([]*cluster.Mail, int) {
 			cols = pr.sendArena[a:b:b]
 			vals = pr.sendArena[b:len(pr.sendArena):len(pr.sendArena)]
 		}
-		// One shared copy serves every destination needing the full row; a
-		// serialising runtime encodes the live row before relax can touch it.
-		var fullRow []int32
-		if st.sendFull || st.upToDate&mask != mask {
-			fullRow = row
-			if !e.byValue {
-				fullRow = pr.newRowCopy(row)
-			}
-		}
 		sent := false
 		for dst, m := 0, mask; m != 0; dst++ {
 			if m&(1<<uint(dst)) == 0 {
@@ -999,7 +977,7 @@ func (pr *proc) collectMail(e *Engine) ([]*cluster.Mail, int) {
 				msg.reset()
 			}
 			if needFull {
-				msg.add(v, fullRow, nil, nil)
+				msg.add(v, row, nil, nil)
 			} else {
 				msg.add(v, nil, cols, vals)
 			}
@@ -1023,87 +1001,34 @@ func (pr *proc) collectMail(e *Engine) ([]*cluster.Mail, int) {
 	return mail, rows
 }
 
-// installAndRelax applies the received boundary updates — full rows replace
-// the snapshot, deltas patch it — and relaxes the local rows through them
-// (see relax). It returns how many local rows changed.
-//
-// On the sim runtime full rows arrive by reference, as one copy shared
-// across every destination: they are installed as-is and marked shared, and
-// any later mutation copies first. Rows decoded from a wire frame are the
-// receiver's own and are patched in place. Replaced owned snapshots are
-// recycled into the row pool.
-func (pr *proc) installAndRelax(e *Engine, in []*cluster.Mail) int {
+// install applies the received boundary updates to this processor's
+// snapshots: a full receipt is copied into the held array, a delta patches
+// it in place. Each touched snapshot is queued to push at the next relax.
+func (pr *proc) install(e *Engine, in []*cluster.Mail) {
 	for _, m := range in {
 		if m == nil {
 			continue
 		}
 		msg := m.Payload.(*boundaryMsg)
 		for i, v := range msg.ids {
+			// A delta without a snapshot (the owner believed this peer up
+			// to date) patches a fresh one: missing entries stay Inf, sound
+			// upper bounds refined by later sends.
+			snap := pr.snapshot(e, v)
+			p := pr.pendingFor(v)
 			if full := msg.full[i]; full != nil {
-				// The row pool feeds send and copy-on-write copies, which
-				// only the sim runtime makes; on a wire runtime it would
-				// only pin rows.
-				if old, ok := pr.ext[v]; ok && !pr.extShared.Has(v) && !msg.owned {
-					pr.recycleRow(old)
-				}
-				pr.ext[v] = full
-				if msg.owned {
-					pr.extShared.Clear(v)
-				} else {
-					pr.extShared.Set(v)
-				}
-				p := pr.pendingFor(v)
+				dv.FillInf(snap[copy(snap, full):])
 				p.full = true
 				p.cols.Release()
 				continue
 			}
-			snap := pr.ext[v]
-			if snap == nil {
-				// Defensive: a delta without a snapshot (the owner
-				// believed this peer up to date). Missing entries stay
-				// Inf — sound upper bounds, refined by later sends.
-				snap = pr.newRowInf(e, v)
-				pr.ext[v] = snap
-				pr.extShared.Clear(v)
-			} else if pr.extShared.Has(v) {
-				// Copy-on-write: the backing array may be read by other
-				// processors holding the same shared full row.
-				snap = pr.newRowCopy(snap)
-				pr.ext[v] = snap
-				pr.extShared.Clear(v)
-			}
 			cols, vals := msg.cols[i], msg.vals[i]
 			for j, c := range cols {
-				if int(c) < len(snap) {
-					snap[c] = vals[j]
-				}
+				snap[c] = vals[j]
 			}
-			pr.pendingFor(v).note(e.width, cols)
+			p.note(e.width, cols)
 		}
 	}
-	return pr.relax(e)
-}
-
-// newRowInf returns a pooled width-sized row of Inf with row[v]=0.
-func (pr *proc) newRowInf(e *Engine, v graph.ID) []int32 {
-	var row []int32
-	for n := len(pr.rowPool); n > 0; n = len(pr.rowPool) {
-		r := pr.rowPool[n-1]
-		pr.rowPool[n-1] = nil
-		pr.rowPool = pr.rowPool[:n-1]
-		if cap(r) >= e.width {
-			row = r[:e.width]
-			break
-		}
-	}
-	if row == nil {
-		row = make([]int32, e.width)
-	}
-	dv.FillInf(row)
-	if int(v) < e.width {
-		row[v] = 0
-	}
-	return row
 }
 
 func sortedIDs(set map[graph.ID]bool) []graph.ID {

@@ -35,8 +35,9 @@ import (
 //     merge replays rows in ascending row order at any pool size.
 //   - Arena ownership: every mutable scratch (Dijkstra heap/row, changed-
 //     column buffers, record arenas) is owned by one worker for the duration
-//     of a phase; shared proc state (sparse sets, meta maps, row pool)
-//     is only touched in the sequential pre/post passes around the barrier.
+//     of a phase; shared proc state (sparse sets, the meta and snapshot
+//     maps) is only touched in the sequential pre/post passes around the
+//     barrier.
 //
 // Each kernel writes only the rows of its own shard and reads nothing another
 // shard writes, so its result is bit-identical at every pool size.

@@ -132,9 +132,7 @@ func (pr *proc) relax(e *Engine) int {
 			full := p.full
 			cols := p.cols.AppendSorted(pr.colBuf[:0])
 			pr.colBuf = cols
-			p.cols.Reset()
-			p.full = false
-			pr.pendingPool = append(pr.pendingPool, p)
+			pr.recyclePending(p)
 			yrow := pr.ext[y]
 			if !full {
 				pr.compose(e, y, yrow, cols)
@@ -301,10 +299,11 @@ func relaxRowThroughEdge(row []int32, u graph.ID, w int32, vRow []int32, changed
 // Tests read only the *pristine* pre-sweep copy: the test for one edge must
 // not observe the invalidations of another edge in the same batch, or
 // prefix-witness columns disappear and supported entries slip through.
-// Soundness requires exact (converged) distances — applyEdgeDeletions
-// converges first — where an entry whose shortest path uses the edge always
-// satisfies one of the two bounds with equality. Over-invalidated entries
-// are re-derived by the reseed pass and the following RC steps.
+// Soundness requires exact (converged) distances, where an entry whose
+// shortest path uses the edge always satisfies one of the two bounds with
+// equality: the engine picks this test only at the fixpoint (atFixpoint)
+// and wipes suspect rows otherwise (wipeSuspectRows). Over-invalidated
+// entries are re-derived by the reseed pass and the following RC steps.
 //
 // It returns the number of newly invalidated entries.
 func invalidateThroughEdge(pristine, row []int32, self graph.ID, u, v graph.ID, w int32, uRow, vRow []int32) int {

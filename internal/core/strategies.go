@@ -281,22 +281,11 @@ func (e *Engine) repartition(batch *VertexBatch) (*RepartitionResult, error) {
 				// only the columns changed since the last send.
 				cols = st.sendCols.AppendSorted(cols[:0])
 				migBytes[oldOwner*e.opts.P+newOwner] += 4 + 8*len(cols)
-				if dst.extShared.Has(v) {
-					snap = dst.newRowCopy(snap)
-				}
-				delete(dst.ext, v)
-				dst.extShared.Clear(v)
-				if pd, ok := dst.extPending[v]; ok {
-					delete(dst.extPending, v)
-					pd.cols.Reset()
-					pd.full = false
-					dst.pendingPool = append(dst.pendingPool, pd)
-				}
+				dst.dropSnapshot(v)
 				for _, c := range cols {
 					snap[c] = row[c]
 				}
 				dst.store.AdoptRow(v, snap)
-				src.recycleRow(row)
 			} else {
 				migBytes[oldOwner*e.opts.P+newOwner] += 4 + 4*len(row)
 				dst.store.AdoptRow(v, row)
@@ -339,19 +328,9 @@ func (e *Engine) repartition(batch *VertexBatch) (*RepartitionResult, error) {
 		// Prune snapshots of vertices now local to this processor or no
 		// longer boundary-adjacent to it (their owner clears our up-to-date
 		// bit below, so a later re-pairing starts with a full send).
-		for s, row := range pr.ext {
+		for s := range pr.ext {
 			if (int(s) < len(pr.isLocal) && pr.isLocal[s]) || e.peerMask(s)&pBit == 0 {
-				delete(pr.ext, s)
-				if !pr.extShared.Has(s) {
-					pr.recycleRow(row)
-				}
-				pr.extShared.Clear(s)
-				if pd, ok := pr.extPending[s]; ok {
-					delete(pr.extPending, s)
-					pd.cols.Reset()
-					pd.full = false
-					pr.pendingPool = append(pr.pendingPool, pd)
-				}
+				pr.dropSnapshot(s)
 			}
 		}
 		// Relax closure: migrated rows have never been relaxed against this

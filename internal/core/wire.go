@@ -78,7 +78,7 @@ func (WireCodec) Decode(frame []byte) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	msg := &boundaryMsg{owned: true}
+	msg := &boundaryMsg{}
 	for i := uint32(0); i < count; i++ {
 		id, err := r.u32()
 		if err != nil {

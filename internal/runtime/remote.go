@@ -92,8 +92,6 @@ var (
 	_ Runtime        = (*Remote)(nil)
 	_ Partial        = (*Remote)(nil)
 	_ RowBroadcaster = (*Remote)(nil)
-	_ Serialising    = (*Remote)(nil)
-	_ Serialising    = (*Wire)(nil)
 	_ Observable     = (*Remote)(nil)
 )
 
@@ -225,9 +223,6 @@ func DecodeRows(buf []byte, into map[graph.ID][]int32) error {
 	}
 	return nil
 }
-
-// SerialisesExchange implements Serialising.
-func (*Remote) SerialisesExchange() {}
 
 // BroadcastRows implements RowBroadcaster over the mesh's worker-level
 // all-gather. Each worker contributes the rows its resident processors own;

@@ -85,15 +85,6 @@ type Observable interface {
 	SetObs(reg *obs.Registry)
 }
 
-// Serialising is implemented by runtimes whose Exchange serialises every
-// payload before it returns (Wire, Remote): nothing handed to Exchange is
-// read once it returns, so the caller may hand over live data instead of a
-// copy. The reference-passing Sim delivers payloads by pointer and does not
-// implement it.
-type Serialising interface {
-	SerialisesExchange()
-}
-
 // Kind names a built-in runtime implementation.
 type Kind string
 

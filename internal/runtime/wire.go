@@ -32,9 +32,6 @@ func NewWire(p int, model logp.Params, codec cluster.WireCodec, tr transport.Tra
 	return &Wire{Cluster: cluster.New(p, model), codec: codec, tr: tr}
 }
 
-// SerialisesExchange implements Serialising.
-func (*Wire) SerialisesExchange() {}
-
 // Exchange implements Runtime over the byte transport: the shared wire
 // exchange over the full processor range.
 func (w *Wire) Exchange(out [][]*cluster.Mail) ([][]*cluster.Mail, error) {

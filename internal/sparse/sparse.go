@@ -178,40 +178,3 @@ func (c *Cols) Release() {
 	c.words = nil
 	c.n = 0
 }
-
-// Bits is a growable bitset over non-negative int32 keys. The zero value is
-// ready to use.
-type Bits struct {
-	words []uint64
-}
-
-// Set marks bit v.
-func (b *Bits) Set(v int32) {
-	w := int(v >> 6)
-	if w >= len(b.words) {
-		n := w + 1
-		if n < 2*len(b.words) {
-			n = 2 * len(b.words)
-		}
-		words := make([]uint64, n)
-		copy(words, b.words)
-		b.words = words
-	}
-	b.words[w] |= 1 << uint(v&63)
-}
-
-// Clear unmarks bit v.
-func (b *Bits) Clear(v int32) {
-	if w := int(v >> 6); w < len(b.words) {
-		b.words[w] &^= 1 << uint(v&63)
-	}
-}
-
-// Has reports whether bit v is set.
-func (b *Bits) Has(v int32) bool {
-	w := int(v >> 6)
-	return w < len(b.words) && b.words[w]&(1<<uint(v&63)) != 0
-}
-
-// Reset clears every bit, keeping the backing array.
-func (b *Bits) Reset() { clear(b.words) }

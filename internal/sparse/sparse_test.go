@@ -156,35 +156,6 @@ func TestColsAgainstMap(t *testing.T) {
 	}
 }
 
-func TestBits(t *testing.T) {
-	var b Bits
-	if b.Has(0) || b.Has(200) {
-		t.Fatal("zero bits not empty")
-	}
-	b.Set(0)
-	b.Set(63)
-	b.Set(64)
-	b.Set(200)
-	for _, v := range []int32{0, 63, 64, 200} {
-		if !b.Has(v) {
-			t.Fatalf("bit %d lost", v)
-		}
-	}
-	if b.Has(1) || b.Has(128) {
-		t.Fatal("unset bit reported")
-	}
-	b.Clear(63)
-	if b.Has(63) || !b.Has(64) {
-		t.Fatal("Clear(63) wrong")
-	}
-	b.Reset()
-	for _, v := range []int32{0, 64, 200} {
-		if b.Has(v) {
-			t.Fatalf("bit %d survived Reset", v)
-		}
-	}
-}
-
 func BenchmarkSetAddClear(b *testing.B) {
 	var s Set
 	for i := 0; i < b.N; i++ {
